@@ -12,6 +12,8 @@ const char* FaultKindName(FaultKind kind) noexcept {
       return "transient";
     case FaultKind::kSlow:
       return "slow";
+    case FaultKind::kLostReply:
+      return "lost_reply";
   }
   return "unknown";
 }
@@ -21,8 +23,9 @@ FaultInjector::FaultInjector(const FaultConfig& config)
 
 bool FaultInjector::BudgetLeftLocked() const noexcept {
   if (config_.max_faults < 0) return true;
-  const uint64_t total =
-      injected_connect_ + injected_drop_ + injected_transient_ + injected_slow_;
+  const uint64_t total = injected_connect_ + injected_drop_ +
+                         injected_transient_ + injected_slow_ +
+                         injected_lost_reply_;
   return total < static_cast<uint64_t>(config_.max_faults);
 }
 
@@ -64,6 +67,16 @@ FaultKind FaultInjector::NextStatementFault() {
   return FaultKind::kNone;
 }
 
+bool FaultInjector::ShouldLoseReply() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (config_.lost_reply_every == 0) return false;
+  const uint64_t n = ++reply_decisions_;
+  if (!BudgetLeftLocked()) return false;
+  if (n % config_.lost_reply_every != 0) return false;
+  ++injected_lost_reply_;
+  return true;
+}
+
 bool FaultInjector::ShouldKillAtRound(int64_t round) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (config_.kill_at_round <= 0 || kill_fired_) return false;
@@ -75,7 +88,7 @@ bool FaultInjector::ShouldKillAtRound(int64_t round) {
 uint64_t FaultInjector::injected_total() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return injected_connect_ + injected_drop_ + injected_transient_ +
-         injected_slow_;
+         injected_slow_ + injected_lost_reply_;
 }
 
 uint64_t FaultInjector::injected(FaultKind kind) const {
@@ -89,6 +102,8 @@ uint64_t FaultInjector::injected(FaultKind kind) const {
       return injected_transient_;
     case FaultKind::kSlow:
       return injected_slow_;
+    case FaultKind::kLostReply:
+      return injected_lost_reply_;
   }
   return 0;
 }

@@ -34,6 +34,8 @@ enum class FaultKind {
   kDrop,       // connection drops before the statement is applied
   kTransient,  // engine reports a transient fault; connection stays up
   kSlow,       // statement is delayed by FaultConfig::slow_us
+  kLostReply,  // statement applied, then the connection drops before the
+               // reply arrives (only retry-safe prepared statements)
 };
 
 const char* FaultKindName(FaultKind kind) noexcept;
@@ -57,6 +59,12 @@ struct FaultConfig {
   uint64_t slow_every = 0;
   int64_t slow_us = 1000;  // how slow a kSlow statement is
 
+  /// Every N-th execution of a retry-safe prepared statement (see
+  /// dbc::PreparedStatement::set_retry_safe) applies and then loses its
+  /// reply: the connection drops after the engine ran the statement. The
+  /// only fault that strikes after the engine; 0 = disabled.
+  uint64_t lost_reply_every = 0;
+
   /// Total injected faults across all kinds; -1 = unlimited. Lets a test
   /// inject "the first 3 faults" and then run clean.
   int64_t max_faults = -1;
@@ -73,7 +81,7 @@ struct FaultConfig {
   bool any() const noexcept {
     return connect_failure_rate > 0 || connect_every > 0 || drop_rate > 0 ||
            drop_every > 0 || transient_rate > 0 || transient_every > 0 ||
-           slow_rate > 0 || slow_every > 0;
+           slow_rate > 0 || slow_every > 0 || lost_reply_every > 0;
   }
 };
 
@@ -90,6 +98,11 @@ class FaultInjector {
   /// single client-visible submission). Precedence: drop > transient >
   /// slow, so a single draw sequence stays deterministic.
   FaultKind NextStatementFault();
+
+  /// Decision after a retry-safe statement applied: true = drop the
+  /// connection before the reply. Counted separately from statement
+  /// decisions, so enabling it never shifts the other kinds' schedule.
+  bool ShouldLoseReply();
 
   /// Latched kill-at-round trigger: true exactly once, on the first call
   /// with round >= kill_at_round (and kill_at_round > 0). The latch makes
@@ -116,10 +129,12 @@ class FaultInjector {
   Rng rng_;
   uint64_t connect_decisions_ = 0;
   uint64_t statement_decisions_ = 0;
+  uint64_t reply_decisions_ = 0;
   uint64_t injected_connect_ = 0;
   uint64_t injected_drop_ = 0;
   uint64_t injected_transient_ = 0;
   uint64_t injected_slow_ = 0;
+  uint64_t injected_lost_reply_ = 0;
   bool kill_fired_ = false;
 };
 

@@ -18,6 +18,9 @@ namespace sqloop::core {
 namespace {
 
 constexpr char kManifestName[] = "manifest";
+// Bumped whenever the on-disk layout changes meaning. Version 2: message
+// outboxes with seq watermarks replaced the per-Compute message tables.
+constexpr char kLayoutVersion[] = "2";
 constexpr char kRoundDirPrefix[] = "ckpt_";
 constexpr int64_t kDefaultKeepCheckpoints = 2;
 
@@ -31,7 +34,7 @@ uint64_t Fnv1a(const void* data, size_t length, uint64_t hash) {
 }
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
-std::string JoinSizes(const std::vector<size_t>& values) {
+std::string JoinU64(const std::vector<uint64_t>& values) {
   std::string out;
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ',';
@@ -40,11 +43,11 @@ std::string JoinSizes(const std::vector<size_t>& values) {
   return out;
 }
 
-std::string JoinU64(const std::vector<uint64_t>& values) {
+std::string JoinNames(const std::vector<std::string>& values) {
   std::string out;
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ',';
-    out += std::to_string(values[i]);
+    out += values[i];
   }
   return out;
 }
@@ -137,27 +140,18 @@ std::string ReadSealedFile(const std::string& path) {
 
 std::string RenderManifest(const CheckpointManifest& m) {
   std::ostringstream out;
-  out << "sqloop_checkpoint=1\n";
+  out << "sqloop_checkpoint=" << kLayoutVersion << "\n";
   out << "round=" << m.round << "\n";
   out << "mode=" << m.mode << "\n";
   out << "partitions=" << m.partitions << "\n";
   if (!m.table_file.empty()) out << "table_file=" << m.table_file << "\n";
   if (!m.partition_files.empty()) {
-    std::string joined;
-    for (size_t i = 0; i < m.partition_files.size(); ++i) {
-      if (i > 0) joined += ',';
-      joined += m.partition_files[i];
-    }
-    out << "partition_files=" << joined << "\n";
+    out << "partition_files=" << JoinNames(m.partition_files) << "\n";
+    out << "outbox_files=" << JoinNames(m.outbox_files) << "\n";
+    out << "published=" << JoinU64(m.published) << "\n";
+    out << "watermarks=" << JoinU64(m.watermarks) << "\n";
+    out << "addressed=" << JoinU64(m.addressed) << "\n";
   }
-  out << "message_count=" << m.messages.size() << "\n";
-  for (size_t i = 0; i < m.messages.size(); ++i) {
-    const auto& msg = m.messages[i];
-    out << "message." << i << "=" << msg.table << "|" << msg.file << "|"
-        << msg.source << "|" << JoinSizes(msg.targets) << "\n";
-  }
-  out << "consumed=" << JoinSizes(m.consumed) << "\n";
-  out << "message_seq=" << m.message_seq << "\n";
   out << "dispatch_seq=" << m.dispatch_seq << "\n";
   out << "last_dispatch=" << JoinU64(m.last_dispatch) << "\n";
   std::string priorities;
@@ -186,7 +180,7 @@ CheckpointManifest ParseManifest(const std::string& body) {
     }
     return it->second;
   };
-  if (require("sqloop_checkpoint") != "1") {
+  if (require("sqloop_checkpoint") != kLayoutVersion) {
     throw ExecutionError("unsupported manifest version");
   }
   CheckpointManifest m;
@@ -196,35 +190,22 @@ CheckpointManifest ParseManifest(const std::string& body) {
   if (const auto it = fields.find("table_file"); it != fields.end()) {
     m.table_file = it->second;
   }
+  const auto parse_u64s = [&](const std::string& key) {
+    std::vector<uint64_t> values;
+    for (const std::string& v : SplitList(require(key))) {
+      values.push_back(ParseU64(v));
+    }
+    return values;
+  };
   if (const auto it = fields.find("partition_files"); it != fields.end()) {
     m.partition_files = SplitList(it->second);
+    m.outbox_files = SplitList(require("outbox_files"));
+    m.published = parse_u64s("published");
+    m.watermarks = parse_u64s("watermarks");
+    m.addressed = parse_u64s("addressed");
   }
-  const size_t message_count = ParseU64(require("message_count"));
-  for (size_t i = 0; i < message_count; ++i) {
-    const std::string& entry = require("message." + std::to_string(i));
-    const size_t bar1 = entry.find('|');
-    const size_t bar2 =
-        bar1 == std::string::npos ? bar1 : entry.find('|', bar1 + 1);
-    const size_t bar3 =
-        bar2 == std::string::npos ? bar2 : entry.find('|', bar2 + 1);
-    if (bar3 == std::string::npos) throw ExecutionError("bad message entry");
-    CheckpointManifest::MessageEntry msg;
-    msg.table = entry.substr(0, bar1);
-    msg.file = entry.substr(bar1 + 1, bar2 - bar1 - 1);
-    msg.source = ParseU64(entry.substr(bar2 + 1, bar3 - bar2 - 1));
-    for (const std::string& t : SplitList(entry.substr(bar3 + 1))) {
-      msg.targets.push_back(ParseU64(t));
-    }
-    m.messages.push_back(std::move(msg));
-  }
-  for (const std::string& c : SplitList(require("consumed"))) {
-    m.consumed.push_back(ParseU64(c));
-  }
-  m.message_seq = ParseU64(require("message_seq"));
   m.dispatch_seq = ParseU64(require("dispatch_seq"));
-  for (const std::string& d : SplitList(require("last_dispatch"))) {
-    m.last_dispatch.push_back(ParseU64(d));
-  }
+  m.last_dispatch = parse_u64s("last_dispatch");
   for (const std::string& p : SplitList(require("priorities"))) {
     std::optional<double> value;
     char known = 0;
@@ -242,7 +223,7 @@ std::vector<std::string> DumpFilesOf(const CheckpointManifest& m) {
   std::vector<std::string> files;
   if (!m.table_file.empty()) files.push_back(m.table_file);
   for (const auto& f : m.partition_files) files.push_back(f);
-  for (const auto& msg : m.messages) files.push_back(msg.file);
+  for (const auto& f : m.outbox_files) files.push_back(f);
   return files;
 }
 
@@ -291,7 +272,9 @@ CheckpointManager::CheckpointManager(std::string dir, std::string job_id,
       verify_(verify) {}
 
 std::string CheckpointManager::JobId(const std::string& identity) {
-  return HexU64(Fnv1a(identity.data(), identity.size(), kFnvOffset));
+  const std::string versioned =
+      std::string("layout") + kLayoutVersion + '|' + identity;
+  return HexU64(Fnv1a(versioned.data(), versioned.size(), kFnvOffset));
 }
 
 std::string CheckpointManager::RoundDir(int64_t round) const {
@@ -423,7 +406,7 @@ std::optional<CheckpointManifest> RecoveryManager::FindLatestValid() const {
       const std::string dir = path.string();
       if (!m.table_file.empty()) m.table_file = dir + "/" + m.table_file;
       for (auto& f : m.partition_files) f = dir + "/" + f;
-      for (auto& msg : m.messages) msg.file = dir + "/" + msg.file;
+      for (auto& f : m.outbox_files) f = dir + "/" + f;
       return m;
     } catch (...) {
       // Torn or corrupt candidate: fall back to the next-newest.

@@ -3,9 +3,9 @@
 //
 // At a configurable round cadence the runners persist a *consistent job
 // manifest*: the CTE state (whole table, or every partition table plus the
-// not-yet-consumed message tables), the iteration number, the scheduler
-// state AsyncP needs for bit-identical tie-breaking, and a content hash
-// over all dump files. Table payloads go through the minidb DUMP TABLE
+// message outboxes and their seq watermarks), the iteration number, the
+// scheduler state AsyncP needs for bit-identical tie-breaking, and a
+// content hash over all dump files. Table payloads go through the minidb DUMP TABLE
 // fast path (tmp + atomic rename + CRC footer, see minidb/dump.h); the
 // manifest itself is a CRC-sealed text file written the same way. A crash
 // can therefore only ever leave (a) no new checkpoint, or (b) a complete,
@@ -38,23 +38,17 @@ struct CheckpointManifest {
   // Single-thread runner: the CTE table dump.
   std::string table_file;
 
-  // Parallel runner: one dump per partition table, index == partition id.
+  // Parallel runner: one dump per partition table and one per message
+  // outbox, index == partition id.
   std::vector<std::string> partition_files;
+  std::vector<std::string> outbox_files;
 
-  /// A not-yet-dropped message table: name, dump file, and the partitions
-  /// its rows target (empty = broadcast, mirrors the message registry).
-  struct MessageEntry {
-    std::string table;
-    std::string file;
-    size_t source = 0;  // producing partition; orders gather unions
-    std::vector<size_t> targets;
-  };
-  std::vector<MessageEntry> messages;
-
-  /// Per-partition consumed watermark into the message registry.
-  std::vector<size_t> consumed;
-
-  uint64_t message_seq = 0;  // next message-table sequence number
+  /// The message registry: per source, the highest published seq; per
+  /// (target, source) pair — flattened [target * P + source] — the highest
+  /// seq the target consumed and the highest seq addressed to it.
+  std::vector<uint64_t> published;
+  std::vector<uint64_t> watermarks;
+  std::vector<uint64_t> addressed;
 
   // AsyncP scheduler state, needed for bit-identical dispatch tie-breaking.
   uint64_t dispatch_seq = 0;
@@ -82,9 +76,11 @@ class CheckpointManager {
   CheckpointManager(std::string dir, std::string job_id, int64_t keep = 0,
                     bool verify = false);
 
-  /// Stable identity of a job: hash of the rendered query + mode +
-  /// partition count. Two runs of the same job map to the same id — which
-  /// is exactly what lets `resume` find the first run's checkpoints.
+  /// Stable identity of a job: hash of the checkpoint layout version and
+  /// the rendered query + mode + partition count. Two runs of the same job
+  /// map to the same id — which is exactly what lets `resume` find the
+  /// first run's checkpoints — while checkpoints written in an older
+  /// layout are never even looked at.
   static std::string JobId(const std::string& identity);
 
   /// Creates (emptying any torn leftover) the staging directory for round

@@ -183,7 +183,7 @@ struct RunStats {
   uint64_t total_updates = 0;   // changed rows across all statements
   uint64_t compute_tasks = 0;
   uint64_t gather_tasks = 0;
-  uint64_t message_tables = 0;
+  uint64_t message_tables = 0;  // non-empty message batches published
   uint64_t skipped_tasks = 0;   // AsyncP partitions skipped as unproductive
   double seconds = 0;
 

@@ -78,6 +78,10 @@ constexpr const char* kAvgCntColumn = "sqloop_avg_cnt";
 // AsyncP could never skip them). 1 = changed since the last Compute.
 constexpr const char* kDirtyColumn = "sqloop_dirty";
 
+// Rows a source's outbox may hold as DELETE tombstones before collection
+// compacts it (one storage page's worth).
+constexpr uint64_t kCompactDeadRows = 1024;
+
 // Dispatch tracing for scheduler debugging (SQLOOP_SCHED_TRACE=1).
 const bool kSchedulerTrace = std::getenv("SQLOOP_SCHED_TRACE") != nullptr;
 
@@ -110,13 +114,18 @@ ParallelRunner::ParallelRunner(std::string url, dbc::Connection& master,
   retrier_.set_cancel_token(ctx.cancel);
   retrier_.set_memory_tracker(ctx.memory);
   retrier_.set_cancel_check_rows(ctx.options.cancel_check_rows);
-  consumed_.assign(partitions_, 0);
+  published_.assign(partitions_, 0);
+  collected_.assign(partitions_, 0);
+  collected_dead_rows_.assign(partitions_, 0);
+  watermark_.assign(partitions_ * partitions_, 0);
+  addressed_.assign(partitions_ * partitions_, 0);
   priorities_.assign(partitions_, std::nullopt);
   priority_known_.assign(partitions_, false);
 
-  // Message table layout (paper §V-C/§V-D), plus an indexed target-
-  // partition column so each Gather reads only its own rows ("indexes on
-  // all tables ... ensure that unnecessary scans will be avoided", §V-C).
+  // Outbox layout (paper §V-C/§V-D), plus an indexed target-partition
+  // column so each Gather reads only its own rows ("indexes on all tables
+  // ... ensure that unnecessary scans will be avoided", §V-C), and the
+  // producing Compute's seq stamp.
   message_schema_.push_back({"id", schema_[0].type, ""});
   if (analysis_.aggregate == sql::AggFunc::kAvg) {
     message_schema_.push_back({"sval", ValueType::kDouble, ""});
@@ -125,6 +134,17 @@ ParallelRunner::ParallelRunner(std::string url, dbc::Connection& master,
     message_schema_.push_back({"val", ValueType::kDouble, ""});
   }
   message_schema_.push_back({"target_pt", ValueType::kInt64, ""});
+  message_schema_.push_back({"seq", ValueType::kInt64, ""});
+
+  // The inbox stages one Gather's accumulated messages per id.
+  inbox_schema_.push_back({"token", ValueType::kInt64, ""});
+  inbox_schema_.push_back({"id", schema_[0].type, ""});
+  if (analysis_.aggregate == sql::AggFunc::kAvg) {
+    inbox_schema_.push_back({"s", ValueType::kDouble, ""});
+    inbox_schema_.push_back({"c", ValueType::kInt64, ""});
+  } else {
+    inbox_schema_.push_back({"v", ValueType::kDouble, ""});
+  }
 }
 
 std::string ParallelRunner::PartitionTable(size_t k) const {
@@ -133,6 +153,18 @@ std::string ParallelRunner::PartitionTable(size_t k) const {
 
 std::string ParallelRunner::MjoinTable(size_t k) const {
   return base_ + "_mj" + std::to_string(k);
+}
+
+std::string ParallelRunner::OutboxTable(size_t k) const {
+  return base_ + "_msg" + std::to_string(k);
+}
+
+std::string ParallelRunner::CompactionTable() const {
+  return base_ + "_msgc";
+}
+
+std::string ParallelRunner::InboxTable() const {
+  return base_ + "_inbox";
 }
 
 // ---------------------------------------------------------------------------
@@ -144,9 +176,12 @@ void ParallelRunner::DropLeftovers() {
   master_.AddBatch(translator_.DropTableSql(base_));
   master_.AddBatch(translator_.DropTableSql(base_ + "_seed"));
   master_.AddBatch(translator_.DropTableSql(base_ + "_delta"));
+  master_.AddBatch(translator_.DropTableSql(CompactionTable()));
+  master_.AddBatch(translator_.DropTableSql(InboxTable()));
   for (size_t k = 0; k < partitions_; ++k) {
     master_.AddBatch(translator_.DropTableSql(PartitionTable(k)));
     master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
+    master_.AddBatch(translator_.DropTableSql(OutboxTable(k)));
   }
   MasterExecuteBatch();
 }
@@ -203,6 +238,30 @@ void ParallelRunner::CreatePartitions() {
     }
   }
   master_.AddBatch(translator_.DropTableSql(staging));
+  MasterExecuteBatch();
+}
+
+void ParallelRunner::CreateOutboxes(bool restored) {
+  // One outbox per source partition, created once: the round loop then
+  // issues no DDL, so no catalog_version bump re-binds any cached plan.
+  // RESTORE TABLE brings rows back but not indexes.
+  if (!restored) {
+    for (size_t k = 0; k < partitions_; ++k) {
+      master_.AddBatch(
+          translator_.CreateTableSql(OutboxTable(k), message_schema_, -1));
+    }
+  }
+  master_.AddBatch(
+      translator_.CreateTableSql(CompactionTable(), message_schema_, -1));
+  master_.AddBatch(translator_.CreateTableSql(InboxTable(), inbox_schema_, -1));
+  master_.AddBatch("CREATE INDEX " + translator_.Quote(InboxTable() + "_t") +
+                   " ON " + translator_.Quote(InboxTable()) + " (token)");
+  for (size_t k = 0; k < partitions_; ++k) {
+    const std::string outbox = OutboxTable(k);
+    master_.AddBatch("CREATE INDEX " + translator_.Quote(outbox + "_t") +
+                     " ON " + translator_.Quote(outbox) + " (target_pt)");
+    if (k % 16 == 15) MasterExecuteBatch();
+  }
   MasterExecuteBatch();
 }
 
@@ -268,15 +327,105 @@ void ParallelRunner::BuildTaskSql() {
   const bool keep_delta = analysis_.aggregate == sql::AggFunc::kMin ||
                           analysis_.aggregate == sql::AggFunc::kMax;
   const std::string key = schema_[0].name;
+  task_sql_.assign(static_cast<size_t>(TaskSql::kCount) * partitions_, "");
+  TaskText(TaskSql::kTruncateInbox, 0) =
+      "TRUNCATE TABLE " + translator_.Quote(InboxTable());
+  TaskText(TaskSql::kTruncateCompaction, 0) =
+      "TRUNCATE TABLE " + translator_.Quote(CompactionTable());
 
-  message_select_.resize(partitions_);
-  update_sql_.resize(partitions_);
+  // The Gather runs as two statements:
+  //  1. kGatherRead, one text for every partition: a single query over the
+  //     union of all the outboxes (paper §V-C), arm s reading source s's
+  //     rows for the target partition through the target index within its
+  //     bound seq window, accumulated per id with the gather function
+  //     (§V-D) and staged in the inbox under a fresh token. Arms run in
+  //     source order and each reads in insertion (= seq) order, so the
+  //     accumulation order — and every floating-point SUM — is fixed
+  //     whichever worker finished first.
+  //  2. kGatherApply, per partition: folds the token's staged rows into
+  //     the partition.
+  // One union text shared by all partitions keeps the prepared state O(P);
+  // a union per partition would hold P² arms.
+  {
+    const std::string arm_columns = avg ? "id, sval, cval" : "id, val";
+    std::string union_sql;
+    for (size_t s = 0; s < partitions_; ++s) {
+      if (s > 0) union_sql += " UNION ALL ";
+      union_sql += "SELECT " + arm_columns + " FROM " +
+                   translator_.Quote(OutboxTable(s)) +
+                   " WHERE target_pt = ? AND seq > ? AND seq <= ?";
+    }
+    const std::string accumulate =
+        avg ? "SUM(sval), SUM(cval)"
+            : std::string(sql::AggFuncName(
+                  GatherAggregate(analysis_.aggregate))) +
+                  "(val)";
+    TaskText(TaskSql::kGatherRead, 0) =
+        "INSERT INTO " + translator_.Quote(InboxTable()) + " SELECT ?, id, " +
+        accumulate + " FROM (" + union_sql + ") AS msgs GROUP BY id";
+  }
+  const std::string alias = translator_.Quote(analysis_.primary_alias);
+  const std::string delta = translator_.Quote(analysis_.delta_column);
+  const std::string key_ref = alias + "." + translator_.Quote(key);
+  const std::string gather_from =
+      std::string(" FROM (SELECT ") + (avg ? "id, s, c" : "id, v") +
+      " FROM " + translator_.Quote(InboxTable()) +
+      " WHERE token = ?) AS m WHERE " + key_ref + " = m.id";
+  std::string gather_set;  // SET ... for the kGatherApply statements
+  if (avg) {
+    // Accumulate SUM/COUNT pairs, recompute the user's expression with the
+    // aggregate replaced by the accumulated ratio (paper §V-D).
+    std::vector<const sql::Expr*> aggs;
+    minidb::CollectAggregates(*analysis_.delta_expr, aggs);
+    const std::string sum_ref =
+        "(" + alias + "." + std::string(kAvgSumColumn) + " + m.s)";
+    const std::string cnt_ref =
+        "(" + alias + "." + std::string(kAvgCntColumn) + " + m.c)";
+    const auto ratio =
+        sql::ParseSelect("SELECT " + sum_ref + " / (" + cnt_ref + " + 0.0)");
+    const auto rewritten = SubstituteAggregate(
+        *analysis_.delta_expr, *aggs.at(0), *ratio->cores[0].items[0].expr);
+    gather_set = " SET " + std::string(kAvgSumColumn) + " = " + alias + "." +
+                 std::string(kAvgSumColumn) + " + m.s, " +
+                 std::string(kAvgCntColumn) + " = " + alias + "." +
+                 std::string(kAvgCntColumn) + " + m.c, " + delta +
+                 " = CASE WHEN " + cnt_ref + " = 0 THEN " + alias + "." +
+                 delta + " ELSE " + translator_.Render(*rewritten) + " END";
+  } else {
+    std::string combine;
+    std::string dirty_update;
+    switch (analysis_.aggregate) {
+      case sql::AggFunc::kSum:
+      case sql::AggFunc::kCount:
+        combine = alias + "." + delta + " + m.v";
+        break;
+      case sql::AggFunc::kMin:
+        combine = "LEAST(" + alias + "." + delta + ", m.v)";
+        dirty_update = ", " + std::string(kDirtyColumn) +
+                       " = CASE WHEN m.v < " + alias + "." + delta +
+                       " THEN 1 ELSE " + alias + "." +
+                       std::string(kDirtyColumn) + " END";
+        break;
+      case sql::AggFunc::kMax:
+        combine = "GREATEST(" + alias + "." + delta + ", m.v)";
+        dirty_update = ", " + std::string(kDirtyColumn) +
+                       " = CASE WHEN m.v > " + alias + "." + delta +
+                       " THEN 1 ELSE " + alias + "." +
+                       std::string(kDirtyColumn) + " END";
+        break;
+      default:
+        throw UsageError("unexpected aggregate in gather");
+    }
+    gather_set = " SET " + delta + " = " + combine + dirty_update;
+  }
 
   for (size_t k = 0; k < partitions_; ++k) {
     const std::string pt = PartitionTable(k);
+    const std::string outbox = translator_.Quote(OutboxTable(k));
 
     // Step 1 of Compute: the message query — Ridelta computed from the
-    // partition's own rows joined with its materialized constant join.
+    // partition's own rows joined with its materialized constant join,
+    // stamped with the Compute's seq (the statement's only parameter).
     // (Runs before the own-column update; the workloads' message
     // expressions read Delta or LEAST(own, Delta), both invariant under
     // that update.)
@@ -287,12 +436,9 @@ void ParallelRunner::BuildTaskSql() {
           {sql::MakeColumnRef(analysis_.mid_alias, analysis_.mid_to_key),
            "id"});
       if (avg) {
-        const sql::Expr* agg = nullptr;
-        {
-          std::vector<const sql::Expr*> aggs;
-          minidb::CollectAggregates(*analysis_.delta_expr, aggs);
-          agg = aggs.at(0);
-        }
+        std::vector<const sql::Expr*> aggs;
+        minidb::CollectAggregates(*analysis_.delta_expr, aggs);
+        const sql::Expr* agg = aggs.at(0);
         core.items.push_back({sql::MakeAggregate(sql::AggFunc::kSum,
                                                  agg->args[0]->Clone()),
                               "sval"});
@@ -332,6 +478,7 @@ void ParallelRunner::BuildTaskSql() {
             p_lit());
         core.items.push_back({std::move(mod), "target_pt"});
       }
+      core.items.push_back({sql::MakeParameter(0), "seq"});
       if (analysis_.where != nullptr) core.where = analysis_.where->Clone();
       if (keep_delta) {
         // MIN/MAX: only rows whose delta improved since the last Compute
@@ -346,7 +493,24 @@ void ParallelRunner::BuildTaskSql() {
       core.group_by.push_back(
           sql::MakeColumnRef(analysis_.mid_alias, analysis_.mid_to_key));
       select->cores.push_back(std::move(core));
-      message_select_[k] = translator_.Render(*select);
+      TaskText(TaskSql::kProduce, k) =
+          "INSERT INTO " + outbox + " " + translator_.Render(*select);
+    }
+    TaskText(TaskSql::kRetract, k) = "DELETE FROM " + outbox + " WHERE seq = ?";
+    TaskText(TaskSql::kTargets, k) =
+        "SELECT DISTINCT target_pt FROM " + outbox + " WHERE seq = ?";
+    TaskText(TaskSql::kCollect, k) =
+        "DELETE FROM " + outbox + " WHERE seq <= ?";
+    TaskText(TaskSql::kTruncate, k) = "TRUNCATE TABLE " + outbox;
+    TaskText(TaskSql::kCompactOut, k) = "INSERT INTO " +
+                                        translator_.Quote(CompactionTable()) +
+                                        " SELECT * FROM " + outbox;
+    TaskText(TaskSql::kCompactIn, k) =
+        "INSERT INTO " + outbox + " SELECT * FROM " +
+        translator_.Quote(CompactionTable());
+    if (!options_.priority_query.empty()) {
+      TaskText(TaskSql::kPriority, k) =
+          ReplaceAll(options_.priority_query, "$PARTITION", pt);
     }
 
     // Step 2 of Compute, combined: update the partition's own columns and
@@ -379,10 +543,37 @@ void ParallelRunner::BuildTaskSql() {
                                       sql::MakeLiteral(Value(int64_t{0})));
       }
       if (!update.set_items.empty()) {
-        update_sql_[k] = translator_.Render(update);
+        TaskText(TaskSql::kUpdate, k) = translator_.Render(update);
       }
     }
+
+    TaskText(TaskSql::kGatherApply, k) =
+        "UPDATE " + translator_.Quote(pt) + " AS " + alias + gather_set +
+        gather_from;
   }
+}
+
+dbc::PreparedStatement& ParallelRunner::Statement(dbc::Connection& conn,
+                                                  TaskSql kind,
+                                                  size_t partition) {
+  const size_t index = static_cast<size_t>(kind) * partitions_ + partition;
+  std::optional<dbc::PreparedStatement>* slot = nullptr;
+  {
+    const std::scoped_lock lock(statements_mutex_);
+    auto& slots = statements_[&conn];
+    if (slots.empty()) slots.resize(task_sql_.size());
+    slot = &slots[index];  // the vector never grows again: stable
+  }
+  if (!slot->has_value()) {
+    slot->emplace(conn.Prepare(TaskText(kind, partition)));
+    // Producing and retracting rows under a seq are the two statements a
+    // Compute retry may repeat after an ambiguous outcome (applied, reply
+    // lost): the retry deletes the seq's rows before re-inserting them.
+    if (kind == TaskSql::kProduce || kind == TaskSql::kRetract) {
+      (*slot)->set_retry_safe(true);
+    }
+  }
+  return **slot;
 }
 
 // ---------------------------------------------------------------------------
@@ -394,156 +585,103 @@ uint64_t ParallelRunner::RunCompute(size_t partition, dbc::Connection& conn,
   uint64_t updates = 0;
 
   if (!attempt.messages_done) {
-    if (!attempt.orphan.empty()) {
-      // A previous attempt failed after creating its message table but
-      // before handing it to the registry; a retry must not leave that
-      // partial table behind (DROP ... IF EXISTS also covers a fault
-      // before the CREATE was applied).
-      const std::string orphan = attempt.orphan;
-      conn.Execute(translator_.DropTableSql(orphan));
-      ClearPendingOrphan(orphan);
-      attempt.orphan.clear();
-    }
-    const uint64_t seq = message_seq_.fetch_add(1);
-    const std::string msg = base_ + "_msg" + std::to_string(seq);
-    attempt.orphan = msg;
-    // Track the name before the CREATE: if a fatal error (cancellation,
-    // quota) aborts this task mid-INSERT, the retry path that normally
-    // drops the orphan never runs, and Cleanup must know the name or the
-    // table would survive the run and collide with a resumed incarnation
-    // re-allocating the same seq.
-    AddPendingOrphan(msg);
-    conn.Execute(translator_.CreateTableSql(msg, message_schema_, -1));
-    const size_t produced = conn.ExecuteUpdate(
-        "INSERT INTO " + translator_.Quote(msg) + " " +
-        message_select_[partition]);
-    if (produced > 0) {
-      conn.Execute("CREATE INDEX " + translator_.Quote(msg + "_t") + " ON " +
-                   translator_.Quote(msg) + " (target_pt)");
-      std::vector<size_t> targets;
-      if (options_.mode == ExecutionMode::kAsyncPriority) {
-        // Record which partitions this table addresses so idle partitions
-        // can be skipped safely (paper SV-E: avoid unproductive tasks).
-        const auto result = conn.ExecuteQuery(
-            "SELECT DISTINCT target_pt FROM " + translator_.Quote(msg));
-        targets.reserve(result.rows.size());
-        for (const auto& row : result.rows) {
-          targets.push_back(static_cast<size_t>(row[0].as_int()));
-        }
-        std::sort(targets.begin(), targets.end());
-      }
-      // Once registered the table is owned by the registry — and must
-      // never be registered twice, or gathers would double-count deltas.
-      ClearPendingOrphan(msg);
-      attempt.orphan.clear();
-      RegisterMessageTable(msg, partition, std::move(targets));
+    if (attempt.seq == 0) {
+      // Computes of one partition never overlap, so the next seq after the
+      // published one is this Compute's alone; an empty batch publishes
+      // nothing and leaves the seq to the partition's next Compute.
+      const std::scoped_lock lock(registry_mutex_);
+      attempt.seq = published_[partition] + 1;
     } else {
-      conn.Execute(translator_.DropTableSql(msg));
-      ClearPendingOrphan(msg);
-      attempt.orphan.clear();
+      // An earlier attempt failed somewhere after stamping its seq — its
+      // INSERT may have been applied. Exactly-once comes from the stamp:
+      // delete whatever rows carry it before producing them again.
+      dbc::PreparedStatement& retract =
+          Statement(conn, TaskSql::kRetract, partition);
+      retract.SetInt64(1, static_cast<int64_t>(attempt.seq));
+      retract.ExecuteUpdate();
+    }
+    dbc::PreparedStatement& produce =
+        Statement(conn, TaskSql::kProduce, partition);
+    produce.SetInt64(1, static_cast<int64_t>(attempt.seq));
+    if (produce.ExecuteUpdate() > 0) {
+      // Record which partitions this batch addresses, so a Gather with
+      // nothing addressed to it runs no statement and AsyncP skips idle
+      // partitions safely (paper §V-E: avoid unproductive tasks).
+      dbc::PreparedStatement& probe =
+          Statement(conn, TaskSql::kTargets, partition);
+      probe.SetInt64(1, static_cast<int64_t>(attempt.seq));
+      const auto result = probe.ExecuteQuery();
+      std::vector<size_t> targets;
+      targets.reserve(result.rows.size());
+      for (const auto& row : result.rows) {
+        targets.push_back(static_cast<size_t>(row[0].as_int()));
+      }
+      // Visible to gathers from here on — exactly once, since the phase
+      // is marked done right after.
+      Publish(partition, attempt.seq, targets);
     }
     attempt.messages_done = true;
   }
 
-  if (!update_sql_[partition].empty()) {
-    updates += conn.ExecuteUpdate(update_sql_[partition]);
+  if (!TaskText(TaskSql::kUpdate, partition).empty()) {
+    updates += Statement(conn, TaskSql::kUpdate, partition).ExecuteUpdate();
   }
   compute_tasks_.fetch_add(1);
   return updates;
 }
 
 uint64_t ParallelRunner::RunGather(size_t partition, dbc::Connection& conn) {
-  auto [unread, upto] = UnreadMessages(partition);
-  if (unread.empty()) {
-    MarkConsumed(partition, upto);  // nothing addressed to this partition
-    gather_tasks_.fetch_add(1);
-    return 0;
-  }
-
-  // One statement unions every unread message table (paper §V-C: "a
-  // single query that contains the union of all the message tables");
-  // each arm reads only this partition's rows through the target index.
-  const bool avg_msgs = analysis_.aggregate == sql::AggFunc::kAvg;
-  const std::string msg_columns = avg_msgs ? "id, sval, cval" : "id, val";
-  std::string union_sql;
-  for (size_t i = 0; i < unread.size(); ++i) {
-    if (i > 0) union_sql += " UNION ALL ";
-    union_sql += "SELECT " + msg_columns + " FROM " +
-                 translator_.Quote(unread[i]) + " WHERE target_pt = " +
-                 std::to_string(partition);
-  }
-
-  const std::string pt = translator_.Quote(PartitionTable(partition));
-  const std::string alias = translator_.Quote(analysis_.primary_alias);
-  const std::string delta = translator_.Quote(analysis_.delta_column);
-  const std::string key = translator_.Quote(schema_[0].name);
-
-  std::string sql;
-  if (analysis_.aggregate == sql::AggFunc::kAvg) {
-    // Accumulate SUM/COUNT pairs, recompute the user's expression with the
-    // aggregate replaced by the accumulated ratio (paper §V-D).
-    const sql::Expr* agg = nullptr;
-    {
-      std::vector<const sql::Expr*> aggs;
-      minidb::CollectAggregates(*analysis_.delta_expr, aggs);
-      agg = aggs.at(0);
+  // The window per source: everything published but not yet consumed.
+  // Rows a concurrent Compute is still inserting lie above `upto`. A
+  // source with nothing addressed to this partition in its window gets an
+  // empty range, which the engine answers without scanning its outbox.
+  std::vector<uint64_t> from(partitions_);
+  std::vector<uint64_t> upto(partitions_);
+  std::vector<uint64_t> read_upto(partitions_);
+  uint64_t batches = 0;
+  {
+    const std::scoped_lock lock(registry_mutex_);
+    for (size_t s = 0; s < partitions_; ++s) {
+      const size_t cell = partition * partitions_ + s;
+      from[s] = watermark_[cell];
+      upto[s] = published_[s];
+      const bool addressed = addressed_[cell] > from[s];
+      read_upto[s] = addressed ? upto[s] : from[s];
+      if (addressed) batches += upto[s] - from[s];
     }
-    const std::string sum_ref =
-        "(" + alias + "." + std::string(kAvgSumColumn) + " + m.s)";
-    const std::string cnt_ref =
-        "(" + alias + "." + std::string(kAvgCntColumn) + " + m.c)";
-    const auto ratio =
-        sql::ParseSelect("SELECT " + sum_ref + " / (" + cnt_ref + " + 0.0)");
-    const auto rewritten = SubstituteAggregate(
-        *analysis_.delta_expr, *agg, *ratio->cores[0].items[0].expr);
-    sql = "UPDATE " + pt + " AS " + alias + " SET " +
-          std::string(kAvgSumColumn) + " = " + alias + "." +
-          std::string(kAvgSumColumn) + " + m.s, " +
-          std::string(kAvgCntColumn) + " = " + alias + "." +
-          std::string(kAvgCntColumn) + " + m.c, " + delta +
-          " = CASE WHEN " + cnt_ref + " = 0 THEN " + alias + "." + delta +
-          " ELSE " + translator_.Render(*rewritten) + " END" +
-          " FROM (SELECT id, SUM(sval) AS s, SUM(cval) AS c FROM (" +
-          union_sql + ") AS msgs GROUP BY id) AS m WHERE " + alias + "." +
-          key + " = m.id";
-  } else {
-    std::string combine;
-    std::string dirty_update;
-    switch (analysis_.aggregate) {
-      case sql::AggFunc::kSum:
-      case sql::AggFunc::kCount:
-        combine = alias + "." + delta + " + m.v";
-        break;
-      case sql::AggFunc::kMin:
-        combine = "LEAST(" + alias + "." + delta + ", m.v)";
-        dirty_update = ", " + std::string(kDirtyColumn) +
-                       " = CASE WHEN m.v < " + alias + "." + delta +
-                       " THEN 1 ELSE " + alias + "." +
-                       std::string(kDirtyColumn) + " END";
-        break;
-      case sql::AggFunc::kMax:
-        combine = "GREATEST(" + alias + "." + delta + ", m.v)";
-        dirty_update = ", " + std::string(kDirtyColumn) +
-                       " = CASE WHEN m.v > " + alias + "." + delta +
-                       " THEN 1 ELSE " + alias + "." +
-                       std::string(kDirtyColumn) + " END";
-        break;
-      default:
-        throw UsageError("unexpected aggregate in gather");
-    }
-    sql = "UPDATE " + pt + " AS " + alias + " SET " + delta + " = " +
-          combine + dirty_update + " FROM (SELECT id, " +
-          std::string(sql::AggFuncName(GatherAggregate(analysis_.aggregate))) +
-          "(val) AS v FROM (" + union_sql +
-          ") AS msgs GROUP BY id) AS m WHERE " + alias + "." + key +
-          " = m.id";
   }
-
-  const uint64_t updates = conn.ExecuteUpdate(sql);
-  MarkConsumed(partition, upto);
+  uint64_t updates = 0;
+  if (batches > 0) {
+    // A fresh token per attempt: rows a failed attempt staged are never
+    // applied, and the round border truncates them with the rest.
+    const int64_t token = static_cast<int64_t>(inbox_tokens_.fetch_add(1));
+    dbc::PreparedStatement& read = Statement(conn, TaskSql::kGatherRead, 0);
+    read.SetInt64(1, token);
+    for (size_t s = 0; s < partitions_; ++s) {
+      const int arm = static_cast<int>(3 * s) + 2;  // target, from, upto
+      read.SetInt64(arm, static_cast<int64_t>(partition));
+      read.SetInt64(arm + 1, static_cast<int64_t>(from[s]));
+      read.SetInt64(arm + 2, static_cast<int64_t>(read_upto[s]));
+    }
+    if (read.ExecuteUpdate() > 0) {
+      dbc::PreparedStatement& apply =
+          Statement(conn, TaskSql::kGatherApply, partition);
+      apply.SetInt64(1, token);
+      updates = apply.ExecuteUpdate();
+    }
+  }
+  {
+    // With nothing addressed to this partition the window is consumed
+    // without a statement.
+    const std::scoped_lock lock(registry_mutex_);
+    for (size_t s = 0; s < partitions_; ++s) {
+      uint64_t& mark = watermark_[partition * partitions_ + s];
+      mark = std::max(mark, upto[s]);
+    }
+  }
   // Counted at completion (not entry) so a retried gather counts once.
   gather_tasks_.fetch_add(1);
-  messages_consumed_.fetch_add(unread.size());
+  messages_consumed_.fetch_add(batches);
   return updates;
 }
 
@@ -735,90 +873,86 @@ void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
 // Message registry
 // ---------------------------------------------------------------------------
 
-void ParallelRunner::AddPendingOrphan(const std::string& name) {
+void ParallelRunner::Publish(size_t source, uint64_t seq,
+                             const std::vector<size_t>& targets) {
   const std::scoped_lock lock(registry_mutex_);
-  pending_orphans_.insert(name);
-}
-
-void ParallelRunner::ClearPendingOrphan(const std::string& name) {
-  const std::scoped_lock lock(registry_mutex_);
-  pending_orphans_.erase(name);
-}
-
-void ParallelRunner::RegisterMessageTable(std::string name, size_t source,
-                                          std::vector<size_t> targets) {
-  const std::scoped_lock lock(registry_mutex_);
-  message_tables_.push_back(std::move(name));
-  message_sources_.push_back(source);
-  message_targets_.push_back(std::move(targets));
+  published_[source] = seq;
+  if (targets.empty()) {
+    for (size_t t = 0; t < partitions_; ++t) {
+      addressed_[t * partitions_ + source] = seq;
+    }
+  } else {
+    for (const size_t t : targets) addressed_[t * partitions_ + source] = seq;
+  }
   message_count_.fetch_add(1);
 }
 
-std::pair<std::vector<std::string>, size_t> ParallelRunner::UnreadMessages(
-    size_t partition) {
-  const std::scoped_lock lock(registry_mutex_);
-  const size_t upto = message_tables_.size();
-  std::vector<size_t> indices;
-  for (size_t i = consumed_[partition]; i < upto; ++i) {
-    const auto& targets = message_targets_[i];
-    if (targets.empty() ||
-        std::binary_search(targets.begin(), targets.end(), partition)) {
-      indices.push_back(i);
-    }
-  }
-  // Registration order is a worker-timing race; the producing partition is
-  // not. Ordering the union arms by source keeps the gather's accumulation
-  // order — and every floating-point SUM — reproducible across runs and
-  // pool widths (same-source ties keep creation order, which that
-  // partition's serialized computes make deterministic).
-  std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
-    return message_sources_[a] < message_sources_[b];
-  });
-  std::vector<std::string> unread;
-  unread.reserve(indices.size());
-  for (const size_t i : indices) unread.push_back(message_tables_[i]);
-  return {std::move(unread), upto};
-}
-
-bool ParallelRunner::HasUnreadTargetedMessages(size_t partition) {
-  // Caller holds registry_mutex_.
-  for (size_t i = consumed_[partition]; i < message_tables_.size(); ++i) {
-    const auto& targets = message_targets_[i];
-    if (targets.empty() ||
-        std::binary_search(targets.begin(), targets.end(), partition)) {
-      return true;
-    }
+bool ParallelRunner::HasUnreadTargetedMessages(size_t partition) const {
+  for (size_t s = 0; s < partitions_; ++s) {
+    const size_t cell = partition * partitions_ + s;
+    if (addressed_[cell] > watermark_[cell]) return true;
   }
   return false;
 }
 
-void ParallelRunner::MarkConsumed(size_t partition, size_t upto) {
-  const std::scoped_lock lock(registry_mutex_);
-  consumed_[partition] = std::max(consumed_[partition], upto);
-}
-
-void ParallelRunner::DropFullyConsumedMessages() {
-  std::vector<std::string> droppable;
-  size_t minimum = 0;
-  {
-    const std::scoped_lock lock(registry_mutex_);
-    minimum = *std::min_element(consumed_.begin(), consumed_.end());
-    for (size_t i = dropped_prefix_; i < minimum; ++i) {
-      droppable.push_back(message_tables_[i]);
+uint64_t ParallelRunner::ConsumedUpto(size_t source) const {
+  uint64_t upto = published_[source];
+  for (size_t t = 0; t < partitions_; ++t) {
+    const size_t cell = t * partitions_ + source;
+    if (addressed_[cell] > watermark_[cell]) {
+      upto = std::min(upto, watermark_[cell]);
     }
   }
-  if (droppable.empty()) return;
-  for (const auto& name : droppable) {
-    master_.AddBatch(translator_.DropTableSql(name));
+  return upto;
+}
+
+void ParallelRunner::CollectConsumedMessages() {
+  // Runs at a round border with the pool idle: no Compute is mid-INSERT,
+  // so an outbox whose every published row is consumed holds nothing else
+  // and TRUNCATE (no catalog_version bump, no tombstones) empties it.
+  // Otherwise a DELETE drops the consumed prefix of seqs.
+  const auto run = [&](TaskSql kind, size_t slot, int64_t bind) {
+    return retrier_.Run(master_, "master", -1, [&] {
+      dbc::PreparedStatement& stmt = Statement(master_, kind, slot);
+      if (bind >= 0) stmt.SetInt64(1, bind);
+      return stmt.ExecuteUpdate();
+    });
+  };
+  // Every token staged this round was applied (or abandoned by a retry).
+  if (const uint64_t tokens = inbox_tokens_.load();
+      tokens != inbox_truncated_at_) {
+    run(TaskSql::kTruncateInbox, 0, -1);
+    inbox_truncated_at_ = tokens;
   }
-  MasterExecuteBatch();
-  // Advance the prefix only once the drops are known to have executed: a
-  // cancellation that aborts the batch must not mark the tables dropped,
-  // or Cleanup would skip them and the leftovers would collide with a
-  // resumed incarnation (the drops are IF EXISTS, so a retry after a
-  // partially applied batch is harmless).
-  const std::scoped_lock lock(registry_mutex_);
-  dropped_prefix_ = std::max(dropped_prefix_, minimum);
+  for (size_t s = 0; s < partitions_; ++s) {
+    uint64_t upto = 0;
+    bool all = false;
+    {
+      const std::scoped_lock lock(registry_mutex_);
+      upto = ConsumedUpto(s);
+      all = upto == published_[s];
+    }
+    if (upto <= collected_[s]) continue;
+    // Advance only once the statement is known to have executed: a
+    // cancellation that aborts it must leave the rows accounted as live.
+    if (all) {
+      run(TaskSql::kTruncate, s, -1);
+      collected_dead_rows_[s] = 0;
+    } else {
+      collected_dead_rows_[s] +=
+          run(TaskSql::kCollect, s, static_cast<int64_t>(upto));
+    }
+    collected_[s] = upto;
+    if (collected_dead_rows_[s] < kCompactDeadRows) continue;
+    // Deleted payload lingers until the table is cleared; copy the live
+    // rows out and back in (insertion order kept) to release it, so the
+    // Async steady state (never fully consumed) stays bounded.
+    run(TaskSql::kCompactOut, s, -1);
+    run(TaskSql::kTruncate, s, -1);
+    run(TaskSql::kCompactIn, s, -1);
+    run(TaskSql::kTruncateCompaction, 0, -1);
+    collected_dead_rows_[s] = 0;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -839,11 +973,15 @@ void ParallelRunner::SetupCheckpointing() {
   if (options_.resume) {
     resume_from_ =
         RecoveryManager(options_.checkpoint_dir, job_id).FindLatestValid();
+    const size_t cells = partitions_ * partitions_;
     if (resume_from_ != std::nullopt &&
         (resume_from_->mode != ExecutionModeName(options_.mode) ||
          resume_from_->partitions != static_cast<int64_t>(partitions_) ||
          resume_from_->partition_files.size() != partitions_ ||
-         resume_from_->consumed.size() != partitions_)) {
+         resume_from_->outbox_files.size() != partitions_ ||
+         resume_from_->published.size() != partitions_ ||
+         resume_from_->watermarks.size() != cells ||
+         resume_from_->addressed.size() != cells)) {
       // Identity hashing should make this unreachable; a mismatched layout
       // cannot be resumed, so fall back to a fresh run.
       resume_from_.reset();
@@ -862,42 +1000,30 @@ bool ParallelRunner::RestoreFromCheckpoint() {
   const CheckpointManifest& m = *resume_from_;
   const double start = run_watch_.ElapsedSeconds();
 
-  // Table payloads: every partition table, then every message table still
-  // pending at capture time. The dump stores the full schema (hidden AVG /
-  // dirty columns included) and doubles as raw bit patterns, so the
-  // restored tables are indistinguishable from the killed run's.
+  // Table payloads: every partition table and every outbox. The dump
+  // stores the full schema (hidden AVG / dirty columns included) and
+  // doubles as raw bit patterns, so the restored tables are
+  // indistinguishable from the killed run's.
   for (size_t k = 0; k < partitions_; ++k) {
     master_.AddBatch("RESTORE TABLE " + translator_.Quote(PartitionTable(k)) +
                      " FROM " +
                      Value(m.partition_files[k]).ToSqlLiteral());
-  }
-  for (const auto& entry : m.messages) {
-    master_.AddBatch("RESTORE TABLE " + translator_.Quote(entry.table) +
-                     " FROM " + Value(entry.file).ToSqlLiteral());
-    // Dumps carry rows, not indexes; re-create the target index every
-    // registered message table has (RunCompute builds it on creation).
-    master_.AddBatch("CREATE INDEX " + translator_.Quote(entry.table + "_t") +
-                     " ON " + translator_.Quote(entry.table) +
-                     " (target_pt)");
+    master_.AddBatch("RESTORE TABLE " + translator_.Quote(OutboxTable(k)) +
+                     " FROM " + Value(m.outbox_files[k]).ToSqlLiteral());
   }
   MasterExecuteBatch();
 
-  // Registry state. Checkpointed indexes are relative to the tables still
-  // alive at capture time (the dropped prefix is gone for good), so the
-  // rebuilt registry starts at prefix 0.
+  // Registry state, captured right after the round's collection: the
+  // outboxes hold exactly the rows above ConsumedUpto, without tombstones.
   {
     const std::scoped_lock lock(registry_mutex_);
-    message_tables_.clear();
-    message_sources_.clear();
-    message_targets_.clear();
-    for (const auto& entry : m.messages) {
-      message_tables_.push_back(entry.table);
-      message_sources_.push_back(entry.source);
-      message_targets_.push_back(entry.targets);
+    published_ = m.published;
+    watermark_ = m.watermarks;
+    addressed_ = m.addressed;
+    for (size_t s = 0; s < partitions_; ++s) {
+      collected_[s] = ConsumedUpto(s);
+      collected_dead_rows_[s] = 0;
     }
-    consumed_ = m.consumed;
-    dropped_prefix_ = 0;
-    message_seq_.store(m.message_seq);
   }
 
   // AsyncP priority + dispatch state, for bit-identical tie-breaking.
@@ -930,16 +1056,13 @@ void ParallelRunner::WriteCheckpoint(
   m.round = round;
   m.mode = ExecutionModeName(options_.mode);
   m.partitions = static_cast<int64_t>(partitions_);
-  for (size_t k = 0; k < partitions_; ++k) {
-    const std::string stem = "pt" + std::to_string(k) + ".dump";
-    // O(1) unchanged-partition probe (see the single-thread runner): a
-    // partition whose maintained checksum still matches the last sealed
-    // dump republishes those bytes instead of re-serializing. Converged
-    // partitions in Sync/AsyncP runs stop paying O(partition) per
-    // checkpoint. Message tables stay on the fresh-dump path — their set
-    // changes every round.
-    const std::string probe_sql =
-        "CHECKSUM TABLE " + translator_.Quote(PartitionTable(k));
+  // O(1) unchanged-table probe (see the single-thread runner): a table
+  // whose maintained checksum still matches the last sealed dump
+  // republishes those bytes instead of re-serializing. Converged
+  // partitions in Sync/AsyncP runs, and outboxes left empty by the
+  // round's collection, stop paying O(table) per checkpoint.
+  const auto dump = [&](const std::string& table, const std::string& stem) {
+    const std::string probe_sql = "CHECKSUM TABLE " + translator_.Quote(table);
     std::string checksum;
     retrier_.Run(master_, "master", -1, [&] {
       checksum = master_.ExecuteQuery(probe_sql).rows[0][1].as_text();
@@ -949,33 +1072,27 @@ void ParallelRunner::WriteCheckpoint(
       ++stats_.checkpoint_dumps_reused;
       SQLOOP_COUNT(recorder_, "checkpoint.dumps_reused", 1);
     } else {
-      master_.AddBatch("DUMP TABLE " + translator_.Quote(PartitionTable(k)) +
-                       " TO " +
+      master_.AddBatch("DUMP TABLE " + translator_.Quote(table) + " TO " +
                        Value(ckpt_->FileFor(round, stem)).ToSqlLiteral());
       ckpt_->RecordDumpChecksum(round, stem, checksum);
     }
-    m.partition_files.push_back(stem);
+    return stem;
+  };
+  for (size_t k = 0; k < partitions_; ++k) {
+    m.partition_files.push_back(
+        dump(PartitionTable(k), "pt" + std::to_string(k) + ".dump"));
   }
-  {
-    const std::scoped_lock lock(registry_mutex_);
-    for (size_t i = dropped_prefix_; i < message_tables_.size(); ++i) {
-      CheckpointManifest::MessageEntry entry;
-      entry.table = message_tables_[i];
-      entry.file = "msg" + std::to_string(i - dropped_prefix_) + ".dump";
-      entry.source = message_sources_[i];
-      entry.targets = message_targets_[i];
-      master_.AddBatch("DUMP TABLE " + translator_.Quote(entry.table) +
-                       " TO " +
-                       Value(ckpt_->FileFor(round, entry.file)).ToSqlLiteral());
-      m.messages.push_back(std::move(entry));
-    }
-    // Rebase the per-partition watermarks against the dropped prefix: the
-    // restored registry re-indexes the surviving tables from zero.
-    m.consumed.reserve(partitions_);
-    for (const size_t c : consumed_) m.consumed.push_back(c - dropped_prefix_);
-    m.message_seq = message_seq_.load();
+  for (size_t k = 0; k < partitions_; ++k) {
+    m.outbox_files.push_back(
+        dump(OutboxTable(k), "msg" + std::to_string(k) + ".dump"));
   }
   MasterExecuteBatch();
+  {
+    const std::scoped_lock lock(registry_mutex_);
+    m.published = published_;
+    m.watermarks = watermark_;
+    m.addressed = addressed_;
+  }
   {
     const std::scoped_lock lock(priority_mutex_);
     m.priorities = priorities_;
@@ -1016,10 +1133,9 @@ void ParallelRunner::ScrubPartitions() {
 void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
   if (options_.priority_query.empty()) return;
   const double start = run_watch_.ElapsedSeconds();
-  const std::string sql = ReplaceAll(options_.priority_query, "$PARTITION",
-                                     PartitionTable(partition));
   std::optional<double> priority;
-  const auto result = conn.ExecuteQuery(sql);
+  const auto result =
+      Statement(conn, TaskSql::kPriority, partition).ExecuteQuery();
   if (!result.rows.empty() && !result.rows[0].empty() &&
       result.rows[0][0].is_numeric()) {
     const double v = result.rows[0][0].NumericAsDouble();
@@ -1086,22 +1202,12 @@ bool ParallelRunner::PartitionEligible(size_t partition, double* rank) {
     *rank = std::numeric_limits<double>::infinity();  // never measured
     return true;
   }
-  const bool has_messages = [&] {
-    for (size_t i = consumed_[partition]; i < message_tables_.size(); ++i) {
-      const auto& targets = message_targets_[i];
-      if (targets.empty() ||
-          std::binary_search(targets.begin(), targets.end(), partition)) {
-        return true;
-      }
-    }
-    return false;
-  }();
   if (priorities_[partition].has_value()) {
     const double v = *priorities_[partition];
     *rank = options_.priority_descending ? v : -v;
     return true;
   }
-  if (has_messages) {
+  if (HasUnreadTargetedMessages(partition)) {
     *rank = -std::numeric_limits<double>::infinity();  // consume, low rank
     return true;
   }
@@ -1156,10 +1262,17 @@ void ParallelRunner::RunRounds() {
   // runs first, and it drains the queue so no task can resurrect a
   // connection afterwards.
   struct WorkerConnCloser {
+    ParallelRunner& runner;
     TaskGroup& pool;
     std::vector<std::unique_ptr<dbc::Connection>>& conns;
     ~WorkerConnCloser() {
       pool.WaitIdle();
+      // Prepared handles point at these connections; none may outlive
+      // the round loop that owns them.
+      {
+        const std::scoped_lock lock(runner.statements_mutex_);
+        runner.statements_.clear();
+      }
       for (auto& conn : conns) {
         if (conn && !conn->closed()) {
           try {
@@ -1170,7 +1283,7 @@ void ParallelRunner::RunRounds() {
         }
       }
     }
-  } closer{pool, worker_conns};
+  } closer{*this, pool, worker_conns};
 
   const auto poison = [&] {
     const std::scoped_lock lock(failure_mutex_);
@@ -1179,9 +1292,13 @@ void ParallelRunner::RunRounds() {
   // Shared-pool mode has no per-job start hook, so the first task landing
   // on a worker opens its connection here. An initial open is not a
   // recovery action and must not count as a reopen; only genuinely lost
-  // connections go through the retrier's counted path.
+  // connections go through the retrier's counted path. With a private
+  // pool the start hook made the initial attempt, so an empty slot means
+  // it failed and the task's open is already the counted retry — every
+  // worker's open failures then meet the same retry budget, whichever
+  // worker's thread happens to run first.
   const auto worker_conn = [&](size_t worker) -> dbc::Connection& {
-    if (worker_conns[worker] == nullptr) {
+    if (worker_conns[worker] == nullptr && shared_pool_ != nullptr) {
       try {
         auto conn = dbc::DriverManager::GetConnection(url_);
         conn->set_recorder(recorder_);
@@ -1502,11 +1619,9 @@ void ParallelRunner::RunRounds() {
       !options_.priority_query.empty();
 
   // The delta snapshot repeats every round with fixed text: prepared once
-  // on the master, executed per round. Worker-side repeated statements
-  // (per-partition updates, priority probes, gather arms) instead share
-  // the database's plan cache — the first worker to run a text compiles it
-  // for every connection, which keeps handles off connections the
-  // resilience ladder may retire or replace mid-run.
+  // on the master, executed per round. Task statements are prepared per
+  // connection on first use (Statement()); the plan cache pins each text,
+  // so whichever connection prepares it first parses it for all of them.
   std::vector<dbc::PreparedStatement> snapshot_stmts;
   if (checker_.needs_delta_snapshot()) {
     for (const auto& sql : checker_.SnapshotSql(schema_)) {
@@ -1733,7 +1848,7 @@ void ParallelRunner::RunRounds() {
       if (starved && round_updates_.load() == 0) {
         // Nothing can make progress anymore: quiesced. Check Tc once and
         // stop either way — further windows would be identical no-ops.
-        DropFullyConsumedMessages();
+        CollectConsumedMessages();
         stats_.iterations = round;
         FinishRound(round, 0, round_start, barrier_wait);
         retrier_.Run(master_, "termination", -1,
@@ -1742,7 +1857,7 @@ void ParallelRunner::RunRounds() {
       }
     }
 
-    DropFullyConsumedMessages();
+    CollectConsumedMessages();
     stats_.iterations = round;
     const uint64_t updates = round_updates_.load();
     stats_.total_updates += updates;
@@ -1788,24 +1903,12 @@ void ParallelRunner::Cleanup() {
     for (size_t k = 0; k < partitions_; ++k) {
       master_.AddBatch(translator_.DropTableSql(PartitionTable(k)));
       master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
+      master_.AddBatch(translator_.DropTableSql(OutboxTable(k)));
     }
+    master_.AddBatch(translator_.DropTableSql(CompactionTable()));
+    master_.AddBatch(translator_.DropTableSql(InboxTable()));
     master_.AddBatch(translator_.DropTableSql(base_ + "_seed"));
     master_.AddBatch(translator_.DropTableSql(base_ + "_delta"));
-    {
-      const std::scoped_lock lock(registry_mutex_);
-      for (size_t i = dropped_prefix_; i < message_tables_.size(); ++i) {
-        master_.AddBatch(translator_.DropTableSql(message_tables_[i]));
-      }
-      dropped_prefix_ = message_tables_.size();
-      // Created-but-unregistered message tables: a fatal error (cancel,
-      // quota kill) aborted their task before the retry path could drop
-      // them. Left behind they would collide with a resumed incarnation
-      // re-allocating the same seq from the checkpointed counter.
-      for (const auto& orphan : pending_orphans_) {
-        master_.AddBatch(translator_.DropTableSql(orphan));
-      }
-      pending_orphans_.clear();
-    }
     master_.ExecuteBatch();
   } catch (...) {
     // Cleanup is best-effort; the original error (if any) matters more.
@@ -1839,7 +1942,9 @@ dbc::ResultSet ParallelRunner::Run() {
     const double setup_start = run_watch_.ElapsedSeconds();
     SetupCheckpointing();
     DropLeftovers();
-    if (!RestoreFromCheckpoint()) CreatePartitions();
+    const bool restored = RestoreFromCheckpoint();
+    if (!restored) CreatePartitions();
+    CreateOutboxes(restored);
     CreateUnionView();
     MaterializeConstantJoins();
     BuildTaskSql();
@@ -1863,15 +1968,13 @@ dbc::ResultSet ParallelRunner::Run() {
 
     if (options_.keep_result_tables) {
       // Keep the view + partitions for post-run sampling, but clear the
-      // transient message tables and the constant-join materialization.
+      // outboxes and the constant-join materialization.
       for (size_t k = 0; k < partitions_; ++k) {
         master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
+        master_.AddBatch(translator_.DropTableSql(OutboxTable(k)));
       }
-      const std::scoped_lock lock(registry_mutex_);
-      for (size_t i = dropped_prefix_; i < message_tables_.size(); ++i) {
-        master_.AddBatch(translator_.DropTableSql(message_tables_[i]));
-      }
-      dropped_prefix_ = message_tables_.size();
+      master_.AddBatch(translator_.DropTableSql(CompactionTable()));
+      master_.AddBatch(translator_.DropTableSql(InboxTable()));
       MasterExecuteBatch();
     } else {
       Cleanup();

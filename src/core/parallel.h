@@ -9,8 +9,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -22,6 +22,7 @@
 #include "core/termination.h"
 #include "core/translator.h"
 #include "dbc/connection.h"
+#include "dbc/prepared_statement.h"
 
 namespace sqloop::core {
 
@@ -42,12 +43,13 @@ class ParallelRunner {
  private:
   /// Cross-attempt progress of one Compute task, so a retry never repeats
   /// a completed piece: once the message phase is done it is skipped (a
-  /// second RegisterMessageTable would double-count SUM deltas), and a
-  /// partial message table left by a failed attempt is dropped before the
-  /// next one (DESIGN.md "Failure model & resilience").
+  /// second publish would double-count SUM deltas), and every attempt of
+  /// the phase stamps the same outbox seq, so a retry first deletes
+  /// whatever rows an earlier attempt left under it (DESIGN.md "Failure
+  /// model & resilience").
   struct ComputeAttempt {
     bool messages_done = false;
-    std::string orphan;  // created but not yet registered/dropped
+    uint64_t seq = 0;  // 0 = no attempt has stamped rows yet
   };
 
   /// Whether a finished Compute/Gather pair re-measures its priority.
@@ -74,6 +76,10 @@ class ParallelRunner {
   // --- setup / teardown -------------------------------------------------
   void DropLeftovers();
   void CreatePartitions();
+  /// The fixed per-source message outboxes `<R>_msg<k>` (paper §V-C's
+  /// separate message tables, created once instead of per Compute). A
+  /// restored run already has their rows and only needs the index.
+  void CreateOutboxes(bool restored);
   void CreateUnionView();
   void MaterializeConstantJoins();  // Rmjoin (§V-B)
   void BuildTaskSql();
@@ -83,13 +89,13 @@ class ParallelRunner {
   /// Derives the job id and, under `resume`, probes for the newest valid
   /// checkpoint of this exact job (same query, mode, partition count).
   void SetupCheckpointing();
-  /// Re-creates the partition and pending message tables from the resume
+  /// Re-creates the partition tables and outboxes from the resume
   /// checkpoint and reloads the registry / priority / scheduler state.
   /// Returns false (fresh start) when there is nothing to resume.
   bool RestoreFromCheckpoint();
-  /// Dumps every partition table plus the not-yet-dropped message tables
-  /// and seals the round's manifest. Runs at a round border (pool idle),
-  /// so the captured state is exactly what the next round starts from.
+  /// Dumps every partition table and outbox and seals the round's
+  /// manifest. Runs at a round border (pool idle), so the captured state
+  /// is exactly what the next round starts from.
   void WriteCheckpoint(int64_t round, uint64_t dispatch_seq,
                        const std::vector<uint64_t>& last_dispatch);
   /// CHECK TABLE over every partition table (batched on the master), at
@@ -132,20 +138,22 @@ class ParallelRunner {
                    double barrier_wait);
 
   // --- message registry (the paper's "global data structure") ------------
-  // `targets` lists the partitions the table's rows belong to (empty =
-  // unknown, treat as "all"); AsyncP uses it to skip idle partitions
-  // without missing messages addressed to them.
-  // `source` is the producing partition; UnreadMessages orders the union
-  // arms by it so the gather's accumulation order — and therefore every
-  // floating-point SUM — is independent of which worker registered first.
-  void AddPendingOrphan(const std::string& name);
-  void ClearPendingOrphan(const std::string& name);
-  void RegisterMessageTable(std::string name, size_t source,
-                            std::vector<size_t> targets);
-  std::pair<std::vector<std::string>, size_t> UnreadMessages(size_t partition);
-  bool HasUnreadTargetedMessages(size_t partition);
-  void MarkConsumed(size_t partition, size_t upto);
-  void DropFullyConsumedMessages();  // master-side, between rounds
+  // Every Compute of source s stamps its outbox rows with the next seq of
+  // s; Publish makes them visible once the INSERT succeeded. `targets`
+  // lists the partitions the batch addresses (empty = all), so Gathers
+  // skip sources with nothing for them and AsyncP skips idle partitions
+  // without missing messages. A Gather of target t reads, per source, the
+  // seq range (watermark, published] and then advances its watermarks.
+  void Publish(size_t source, uint64_t seq, const std::vector<size_t>& targets);
+  /// Caller holds registry_mutex_.
+  bool HasUnreadTargetedMessages(size_t partition) const;
+  /// Highest seq of `source` that no target still needs: a target with
+  /// nothing addressed to it above its watermark needs none of the rows.
+  /// Caller holds registry_mutex_.
+  uint64_t ConsumedUpto(size_t source) const;
+  /// Deletes (or truncates) outbox rows every target has consumed.
+  /// Master-side, at round borders.
+  void CollectConsumedMessages();
 
   // --- scheduling (§V-E) --------------------------------------------------
   void RunRounds();
@@ -159,6 +167,42 @@ class ParallelRunner {
 
   std::string PartitionTable(size_t k) const;
   std::string MjoinTable(size_t k) const;
+  std::string OutboxTable(size_t k) const;
+
+  /// Scratch table the outbox compaction copies survivors through.
+  std::string CompactionTable() const;
+  /// Staging table between a Gather's two statements, keyed by token.
+  std::string InboxTable() const;
+
+  /// The fixed statement texts of the round loop, one per partition and
+  /// kind: the Compute's produce/retract/target probe/own-column update,
+  /// the Gather's two statements, the AsyncP priority probe, and the
+  /// master's outbox collection and compaction. Kinds marked "slot 0" have
+  /// one text for the whole run.
+  enum class TaskSql {
+    kProduce,
+    kRetract,
+    kTargets,
+    kUpdate,
+    kGatherRead,  // slot 0
+    kGatherApply,
+    kPriority,
+    kCollect,
+    kTruncate,
+    kCompactOut,
+    kCompactIn,
+    kTruncateInbox,       // slot 0
+    kTruncateCompaction,  // slot 0
+    kCount
+  };
+  std::string& TaskText(TaskSql kind, size_t partition) {
+    return task_sql_[static_cast<size_t>(kind) * partitions_ + partition];
+  }
+  /// `conn`'s prepared handle for one of them, prepared on first use. The
+  /// plan cache pins each text, so it is parsed once per database however
+  /// many connections prepare it.
+  dbc::PreparedStatement& Statement(dbc::Connection& conn, TaskSql kind,
+                                    size_t partition);
 
   const std::string url_;
   dbc::Connection& master_;
@@ -174,30 +218,37 @@ class ParallelRunner {
   Translator translator_;
   std::vector<sql::ColumnDef> schema_;
   std::vector<sql::ColumnDef> message_schema_;
+  std::vector<sql::ColumnDef> inbox_schema_;
   TerminationChecker checker_;
 
   size_t partitions_;
   std::string base_;  // folded CTE name; also the union view's name
 
-  // Pre-rendered per-partition SQL.
-  std::vector<std::string> message_select_;  // SELECT feeding message tables
-  // Combined own-column update + delta reset, applied after messaging
-  // (one statement, one partition scan).
-  std::vector<std::string> update_sql_;
-  std::string create_message_columns_;       // "(id BIGINT, val ...)" body
+  // Pre-rendered round-loop SQL, indexed [kind * P + partition].
+  std::vector<std::string> task_sql_;
 
-  // Message registry.
+  // Per-connection prepared handles for task_sql_, dropped when RunRounds
+  // closes its worker connections. A connection is driven by one thread
+  // at a time, so only the map itself needs the mutex.
+  std::mutex statements_mutex_;
+  std::unordered_map<const dbc::Connection*,
+                     std::vector<std::optional<dbc::PreparedStatement>>>
+      statements_;
+
+  // Message registry. P x P matrices are indexed [target * P + source].
   std::mutex registry_mutex_;
-  std::vector<std::string> message_tables_;
-  std::vector<size_t> message_sources_;  // producing partition, per table
-  std::vector<std::vector<size_t>> message_targets_;  // sorted; empty = all
-  std::vector<size_t> consumed_;  // per partition: index into message_tables_
-  size_t dropped_prefix_ = 0;
-  std::atomic<uint64_t> message_seq_{0};
-  // Message tables created but not yet registered (or dropped): if a
-  // fatal error aborts the creating task, Cleanup drops these so they
-  // cannot collide with a resumed incarnation reusing the same seq.
-  std::set<std::string> pending_orphans_;
+  std::vector<uint64_t> published_;  // per source: highest visible seq
+  std::vector<uint64_t> watermark_;  // highest seq the target consumed
+  std::vector<uint64_t> addressed_;  // highest published seq addressing it
+  // Master-only GC state, per source: seqs already removed, and rows
+  // DELETE left as tombstones (their payload stays until the table is
+  // cleared, so compaction copies the survivors once enough pile up).
+  std::vector<uint64_t> collected_;
+  std::vector<uint64_t> collected_dead_rows_;
+  // Gather staging tokens handed out, and the count at the inbox's last
+  // TRUNCATE (master-only).
+  std::atomic<uint64_t> inbox_tokens_{1};
+  uint64_t inbox_truncated_at_ = 1;
 
   // AsyncP priorities (NaN optional = unknown; nullopt = "no work").
   std::mutex priority_mutex_;

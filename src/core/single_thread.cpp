@@ -267,15 +267,18 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
                translator.Render(*with.seed));
   }
 
-  // Every statement the loop repeats is prepared exactly once here; the
-  // iterations below only execute the handles. The per-round tmp-table DDL
-  // re-binds each plan's lock set (cheap), but nothing is re-parsed.
-  auto create_tmp_stmt = rc.Prepare(
-      translator.CreateTableSql(tmp, schema, /*primary_key_index=*/0));
+  // Rtmp is created once and emptied by TRUNCATE after every merge: the
+  // loop issues no DDL, so it never bumps the database's catalog_version
+  // and never forces a re-bind of any cached plan — its own or those of
+  // concurrent jobs sharing the database. Every statement the loop
+  // repeats is prepared exactly once here; the iterations below only
+  // execute the handles.
+  rc.Execute(translator.CreateTableSql(tmp, schema, /*primary_key_index=*/0));
   auto insert_tmp_stmt = rc.Prepare("INSERT INTO " + translator.Quote(tmp) +
                                     " " + translator.Render(*with.step));
   auto merge_stmt = rc.Prepare(BuildMergeSql(translator, table, tmp, schema));
-  auto drop_tmp_stmt = rc.Prepare(translator.DropTableSql(tmp));
+  auto truncate_tmp_stmt =
+      rc.Prepare("TRUNCATE TABLE " + translator.Quote(tmp));
   std::vector<dbc::PreparedStatement> snapshot_stmts;
   if (checker.needs_delta_snapshot()) {
     for (const auto& sql : checker.SnapshotSql(schema)) {
@@ -296,10 +299,9 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
     const double body_start = watch.ElapsedSeconds();
     for (auto& stmt : snapshot_stmts) rc.Execute(stmt);
     // Rtmp <- Ri(R); R <- merge(R, Rtmp) on matching keys.
-    rc.Execute(create_tmp_stmt);
     rc.Execute(insert_tmp_stmt);
     const size_t updates = rc.ExecuteUpdate(merge_stmt);
-    rc.Execute(drop_tmp_stmt);
+    rc.Execute(truncate_tmp_stmt);
 
     stats.iterations = iteration;
     stats.total_updates += updates;
@@ -363,6 +365,7 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
   dbc::ResultSet result =
       rc.ExecuteQuery(translator.Render(*with.final_query));
 
+  rc.Execute(translator.DropTableSql(tmp));
   if (!options.keep_result_tables) {
     rc.Execute(translator.DropTableSql(table));
     rc.Execute(translator.DropTableSql(checker.delta_table()));

@@ -129,6 +129,7 @@ void Connection::MaybeInjectFault() {
   if (!fault_) return;
   switch (fault_->NextStatementFault()) {
     case FaultKind::kNone:
+    case FaultKind::kLostReply:  // decided after the engine, not here
       return;
     case FaultKind::kDrop:
       DropNow();

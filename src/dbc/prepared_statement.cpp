@@ -143,6 +143,11 @@ bool PreparedStatement::EnsureFresh() {
     plan_ = conn_->executor_.Prepare(sql_, /*pin=*/true);
     return conn_->executor_.last_prepare_parsed();
   }
+  // The handle's plan is still bound to the live catalog: served from the
+  // cache without a lookup, but counted as the hit it is, so the hit count
+  // does not depend on whether DDL happened to run in between.
+  db.plan_cache().NoteLocalHit();
+  SQLOOP_COUNT(conn_->recorder_, "minidb.plan_cache_hits", 1);
   return false;
 }
 
@@ -168,9 +173,14 @@ void PreparedStatement::ApplyBinds(const std::vector<Value>& values) {
 ResultSet PreparedStatement::Execute() {
   RequireAllBound();
   conn_->EnsureOpen();
-  // Same fault exposure as Connection::Execute: a failure strikes before
-  // the engine applies anything, so the caller may retry the handle.
+  // Same fault exposure and cancellation points as Connection::Execute: a
+  // failure strikes before the engine applies anything, so the caller may
+  // retry the handle.
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->MaybeInjectFault();
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->PayRoundTrip();
   ++conn_->stats_.statements;
   ++conn_->stats_.prepared_executions;
@@ -181,10 +191,23 @@ ResultSet PreparedStatement::Execute() {
 #if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch execute_watch;
 #endif
-  ResultSet result = Submit(binds_);
+  conn_->ArmStatementDeadline();
+  ResultSet result;
+  try {
+    result = Submit(binds_);
+  } catch (...) {
+    conn_->executor_.clear_statement_deadline();
+    throw;
+  }
+  conn_->executor_.clear_statement_deadline();
   SQLOOP_TIME_SECONDS(conn_->recorder_, "dbc.execute_seconds",
                       execute_watch.ElapsedSeconds());
   conn_->PayServerWork(result.rows_examined);
+  if (retry_safe_ && conn_->fault_ && conn_->fault_->ShouldLoseReply()) {
+    conn_->DropNow();
+    throw ConnectionLostError(
+        "injected lost reply: statement applied, connection dropped");
+  }
   return result;
 }
 
@@ -197,7 +220,11 @@ std::vector<size_t> PreparedStatement::ExecuteBatch() {
   conn_->EnsureOpen();
   // Mirrors Connection::ExecuteBatch: one fault decision and one round
   // trip for the whole batch; the queue survives a pre-engine failure.
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->MaybeInjectFault();
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->PayRoundTrip();
   SQLOOP_COUNT(conn_->recorder_, "dbc.batches", 1);
   SQLOOP_COUNT(conn_->recorder_, "dbc.batch_statements", batch_.size());

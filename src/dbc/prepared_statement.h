@@ -44,6 +44,14 @@ class PreparedStatement {
   ResultSet ExecuteQuery() { return Execute(); }
   size_t ExecuteUpdate() { return Execute().affected_rows; }
 
+  /// Declares that the caller recovers on its own from an ambiguous
+  /// outcome — the statement applied but its reply never arrived — e.g. by
+  /// stamping rows and deleting the stamp before a retry. Only such
+  /// handles are exposed to injected lost-reply faults
+  /// (FaultConfig::lost_reply_every); every other statement keeps the
+  /// fail-before-the-engine model the retrier relies on.
+  void set_retry_safe(bool retry_safe) noexcept { retry_safe_ = retry_safe; }
+
   /// Snapshots the current binds into the batch queue.
   void AddBatch();
   /// Executes every queued bind set in order; a single round trip for the
@@ -81,6 +89,7 @@ class PreparedStatement {
   std::vector<char> has_bind_;
   std::vector<std::vector<Value>> batch_;
   int param_count_ = 0;
+  bool retry_safe_ = false;
 };
 
 }  // namespace sqloop::dbc

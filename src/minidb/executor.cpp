@@ -92,7 +92,12 @@ class LockSet {
 /// expanded to their underlying tables; CTE names are excluded).
 class TableCollector {
  public:
-  explicit TableCollector(const Database& db) : db_(db) {}
+  /// Cores in `skip` contribute no tables (they are answered without a
+  /// scan, see Executor::FindEmptyCores).
+  explicit TableCollector(
+      const Database& db,
+      const std::unordered_set<const sql::SelectCore*>* skip = nullptr)
+      : db_(db), skip_(skip) {}
 
   void AddName(const std::string& raw_name,
                const std::set<std::string>& ctes) {
@@ -126,8 +131,13 @@ class TableCollector {
   void FromSelect(const sql::SelectStmt& stmt,
                   const std::set<std::string>& ctes) {
     for (const auto& core : stmt.cores) {
+      if (skip_ != nullptr && skip_->contains(&core)) continue;
       if (core.from) FromTableRef(*core.from, ctes);
     }
+  }
+
+  bool Reads(const std::string& folded_name) const {
+    return reads_.contains(folded_name);
   }
 
   /// Emits the collected names into a lock plan. `written` names (already
@@ -144,14 +154,22 @@ class TableCollector {
 
  private:
   const Database& db_;
+  const std::unordered_set<const sql::SelectCore*>* skip_;
   std::set<std::string> reads_;
   std::set<std::string> visited_views_;
 };
 
+/// Which entries of a lock plan to request: all of them, or one phase of
+/// a phased plan (LockPlan::phased).
+enum class LockPhase { kAll, kReads, kWrites };
+
 /// Turns a lock plan back into lock requests against the live catalog.
 /// Names are re-resolved here, so plans survive drop/recreate cycles.
-void ApplyLockPlan(LockSet& locks, const Database& db, const LockPlan& plan) {
+void ApplyLockPlan(LockSet& locks, const Database& db, const LockPlan& plan,
+                   LockPhase phase = LockPhase::kAll) {
   for (const auto& [name, write] : plan.entries) {
+    if (phase == LockPhase::kReads && write) continue;
+    if (phase == LockPhase::kWrites && !write) continue;
     locks.Request(db.FindTable(name), write);
   }
 }
@@ -280,6 +298,54 @@ void SplitConjuncts(const sql::Expr& expr, std::vector<const sql::Expr*>& out) {
     return;
   }
   out.push_back(&expr);
+}
+
+/// True when two conjuncts bound one column from both sides by numeric
+/// literals that admit no value (`c > 5 AND c <= 5`) — e.g. a message-
+/// outbox arm whose bound seq window is empty.
+bool HasEmptyRange(const std::vector<const sql::Expr*>& conjuncts) {
+  struct Bound {
+    const sql::Expr* column;
+    const Value* value;
+    bool lower;
+    bool strict;
+  };
+  std::vector<Bound> bounds;
+  for (const sql::Expr* c : conjuncts) {
+    if (c->kind != sql::ExprKind::kBinary) continue;
+    const sql::BinaryOp op = c->binary_op;
+    const bool greater =
+        op == sql::BinaryOp::kGreater || op == sql::BinaryOp::kGreaterEq;
+    const bool less =
+        op == sql::BinaryOp::kLess || op == sql::BinaryOp::kLessEq;
+    if (!greater && !less) continue;
+    const bool strict =
+        op == sql::BinaryOp::kGreater || op == sql::BinaryOp::kLess;
+    const auto is_number = [](const sql::Expr& e) {
+      return e.kind == sql::ExprKind::kLiteral && e.literal.is_numeric();
+    };
+    if (c->left->kind == sql::ExprKind::kColumnRef && is_number(*c->right)) {
+      bounds.push_back({c->left.get(), &c->right->literal, greater, strict});
+    } else if (c->right->kind == sql::ExprKind::kColumnRef &&
+               is_number(*c->left)) {
+      bounds.push_back({c->right.get(), &c->left->literal, less, strict});
+    }
+  }
+  for (const Bound& low : bounds) {
+    if (!low.lower) continue;
+    for (const Bound& high : bounds) {
+      if (high.lower ||
+          FoldIdentifier(low.column->column) !=
+              FoldIdentifier(high.column->column) ||
+          FoldIdentifier(low.column->qualifier) !=
+              FoldIdentifier(high.column->qualifier)) {
+        continue;
+      }
+      const int cmp = Value::Compare(*low.value, *high.value);
+      if (cmp > 0 || (cmp == 0 && (low.strict || high.strict))) return true;
+    }
+  }
+  return false;
 }
 
 /// SQL join-key equality: NULL never matches anything.
@@ -1884,6 +1950,62 @@ bool Executor::TryFusedCore(const sql::SelectCore& core, ExecContext& ctx,
   return false;  // subqueries go through the reference path
 }
 
+bool Executor::IsEmptyRangeCore(const sql::SelectCore& core,
+                                const ExecContext& ctx) const {
+  if (!core.where || !core.from ||
+      core.from->kind != sql::TableRefKind::kBase || !core.group_by.empty() ||
+      core.having != nullptr) {
+    return false;
+  }
+  std::vector<const sql::Expr*> conjuncts;
+  SplitConjuncts(*core.where, conjuncts);
+  if (conjuncts.size() < 2 || !HasEmptyRange(conjuncts)) return false;
+  const std::string name = FoldIdentifier(core.from->table_name);
+  if (ctx.cte_bindings.contains(name) || db_.HasView(name)) return false;
+  const auto table = db_.FindTable(name);
+  if (!table) return false;  // the regular paths report the error
+  for (const auto& item : core.items) {
+    if (item.expr->kind == sql::ExprKind::kStar ||
+        ContainsAggregate(*item.expr)) {
+      return false;
+    }
+  }
+  // Only when every conjunct is total over this table: then no row could
+  // raise an error either path would surface, and nothing is skipped but
+  // rows the predicate rejects. (A table's schema never changes while
+  // the table exists, so this holds without its lock.)
+  const std::string alias = FoldIdentifier(core.from->alias);
+  PredicateKernel kernel;
+  for (const sql::Expr* conjunct : conjuncts) {
+    if (!CompilePredicateKernel(*conjunct, table->schema(), alias, &kernel)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Executor::FindEmptyCores(const sql::SelectStmt& select,
+                              ExecContext& ctx) const {
+  for (const auto& core : select.cores) {
+    if (IsEmptyRangeCore(core, ctx)) {
+      ctx.empty_cores.insert(&core);
+      continue;
+    }
+    std::vector<const sql::TableRef*> refs;
+    if (core.from) refs.push_back(core.from.get());
+    while (!refs.empty()) {
+      const sql::TableRef* ref = refs.back();
+      refs.pop_back();
+      if (ref->kind == sql::TableRefKind::kSubquery) {
+        FindEmptyCores(*ref->subquery, ctx);
+      } else if (ref->kind == sql::TableRefKind::kJoin) {
+        refs.push_back(ref->left.get());
+        refs.push_back(ref->right.get());
+      }
+    }
+  }
+}
+
 Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
                             const std::vector<sql::OrderItem>* order_by,
                             std::vector<Row>* sort_keys,
@@ -1899,6 +2021,13 @@ Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
   }
 
   Relation out;
+  if (ctx.empty_cores.contains(&core)) {
+    out.columns.reserve(core.items.size());
+    for (size_t i = 0; i < core.items.size(); ++i) {
+      out.columns.push_back({"", OutputName(core.items[i], i)});
+    }
+    return out;
+  }
   bool fused = false;
   if (db_.fused_enabled()) {
     if (db_.vectorized_enabled()) {
@@ -2244,7 +2373,19 @@ void Executor::BackupForTransaction(Session* session, Table& table) {
   session->backups_.try_emplace(table.name(), table.SnapshotRows());
 }
 
-ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session) {
+std::vector<Row> Executor::SelectForInsert(const sql::Statement& stmt,
+                                          ExecContext& ctx) {
+  // The source SELECT fully materializes (EvalSelect returns owned rows)
+  // before the first Insert call — Insert can grow the table's row
+  // vector, which would invalidate any borrowed views into it.
+  ResultSet selected =
+      EvalSelect(*stmt.insert_select, ctx,
+                 access_ != nullptr ? &access_->insert_cores : nullptr);
+  return std::move(selected.rows);
+}
+
+ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session,
+                               std::vector<Row>* selected) {
   const auto table = db_.FindTable(stmt.table_name);
   if (!table) {
     throw ExecutionError("table '" + stmt.table_name + "' does not exist");
@@ -2270,15 +2411,11 @@ ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session) {
   }
 
   std::vector<Row> incoming;
-  if (stmt.insert_select) {
-    // The source SELECT fully materializes (EvalSelect returns owned rows)
-    // before the first Insert call — Insert can grow the table's row
-    // vector, which would invalidate any borrowed views into it.
+  if (selected != nullptr) {
+    incoming = std::move(*selected);
+  } else if (stmt.insert_select) {
     ExecContext ctx;
-    ResultSet selected = EvalSelect(
-        *stmt.insert_select, ctx,
-        access_ != nullptr ? &access_->insert_cores : nullptr);
-    incoming = std::move(selected.rows);
+    incoming = SelectForInsert(stmt, ctx);
   } else {
     EvalContext ec;  // VALUES expressions see no input columns
     for (const auto& row_exprs : stmt.insert_rows) {
@@ -2312,7 +2449,7 @@ ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session) {
 }
 
 ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
-                               ExecContext& ctx) {
+                               ExecContext& ctx, Relation* evaluated_from) {
   const auto table = db_.FindTable(stmt.table_name);
   if (!table) {
     throw ExecutionError("table '" + stmt.table_name + "' does not exist");
@@ -2345,7 +2482,9 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
   if (stmt.update_from) {
     // UPDATE ... FROM <source>: match each target row against the source,
     // hash-accelerated on the first target=source equi conjunct.
-    Relation source = EvalTableRef(*stmt.update_from, ctx);
+    Relation source = evaluated_from != nullptr
+                          ? std::move(*evaluated_from)
+                          : EvalTableRef(*stmt.update_from, ctx);
 
     std::vector<ColumnBinding> combined = target_columns;
     combined.insert(combined.end(), source.columns.begin(),
@@ -2667,13 +2806,21 @@ LockPlan Executor::BuildLockPlan(const sql::Statement& stmt) const {
     case sql::StatementKind::kInsert: {
       TableCollector collector(db_);
       if (stmt.insert_select) collector.FromSelect(*stmt.insert_select, {});
-      collector.Collect(plan, {FoldIdentifier(stmt.table_name)});
+      const std::string target = FoldIdentifier(stmt.table_name);
+      collector.Collect(plan, {target});
+      plan.phased = stmt.insert_select != nullptr && !collector.Reads(target);
       break;
     }
     case sql::StatementKind::kUpdate: {
       TableCollector collector(db_);
       if (stmt.update_from) collector.FromTableRef(*stmt.update_from, {});
-      collector.Collect(plan, {FoldIdentifier(stmt.table_name)});
+      const std::string target = FoldIdentifier(stmt.table_name);
+      collector.Collect(plan, {target});
+      // Only a derived-table source: its rows are owned already, where a
+      // base table's borrowed rows would have to be copied out first.
+      plan.phased = stmt.update_from != nullptr &&
+                    stmt.update_from->kind == sql::TableRefKind::kSubquery &&
+                    !collector.Reads(target);
       break;
     }
     case sql::StatementKind::kDelete:
@@ -2842,12 +2989,48 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
       db_.DropView(stmt.table_name, stmt.if_exists);
       return {};
     case sql::StatementKind::kInsert: {
+      if (plan.phased) {
+        std::vector<Row> selected;
+        {
+          LockSet reads(recorder_);
+          FindEmptyCores(*stmt.insert_select, ctx);
+          if (ctx.empty_cores.empty()) {
+            ApplyLockPlan(reads, db_, plan, LockPhase::kReads);
+          } else {
+            // Tables only empty cores read need no lock at all.
+            TableCollector collector(db_, &ctx.empty_cores);
+            collector.FromSelect(*stmt.insert_select, {});
+            LockPlan narrowed;
+            collector.Collect(narrowed, {});
+            ApplyLockPlan(reads, db_, narrowed);
+          }
+          reads.AcquireAll();
+          selected = SelectForInsert(stmt, ctx);
+        }
+        LockSet writes(recorder_);
+        ApplyLockPlan(writes, db_, plan, LockPhase::kWrites);
+        writes.AcquireAll();
+        return ExecInsert(stmt, session, &selected);
+      }
       LockSet locks(recorder_);
       ApplyLockPlan(locks, db_, plan);
       locks.AcquireAll();
       return ExecInsert(stmt, session);
     }
     case sql::StatementKind::kUpdate: {
+      if (plan.phased) {
+        Relation source;
+        {
+          LockSet reads(recorder_);
+          ApplyLockPlan(reads, db_, plan, LockPhase::kReads);
+          reads.AcquireAll();
+          source = EvalTableRef(*stmt.update_from, ctx);
+        }
+        LockSet writes(recorder_);
+        ApplyLockPlan(writes, db_, plan, LockPhase::kWrites);
+        writes.AcquireAll();
+        return ExecUpdate(stmt, session, ctx, &source);
+      }
       LockSet locks(recorder_);
       ApplyLockPlan(locks, db_, plan);
       locks.AcquireAll();
@@ -3018,9 +3201,7 @@ std::shared_ptr<const CachedPlan> Executor::Rebind(const CachedPlan& stale,
                                                    uint64_t version) {
   // The catalog changed since this plan was bound: the parse stays valid
   // (text -> AST is a pure function), only the bind layer — lock set and
-  // view expansion — is recomputed. The refresh stays connection-local;
-  // writing it back to the shared cache would serialize workers on the
-  // cache mutex only to be re-staled by the next round's DDL.
+  // view expansion — is recomputed.
   auto rebound = std::make_shared<CachedPlan>();
   rebound->ast = stale.ast;
   rebound->param_count = stale.param_count;
@@ -3057,7 +3238,10 @@ std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text,
   if (auto entry = cache.Lookup(key)) {
     SQLOOP_COUNT(recorder_, "minidb.plan_cache_hits", 1);
     if (entry->bound_version != version) {
+      // Shared back, so the next connection to look the text up under
+      // this catalog version finds it bound already.
       entry = Rebind(*entry, version);
+      cache.Put(key, entry);
     }
     if (local_plans_.size() >= kLocalPlanCapacity) local_plans_.clear();
     local_plans_.emplace(std::move(raw), entry);

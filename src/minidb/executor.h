@@ -5,7 +5,10 @@
 // Concurrency model: each statement collects every base table it touches,
 // sorts them by name, and takes table-level locks up front (shared for
 // reads, exclusive for writes) — the global ordering makes deadlock
-// impossible. This mirrors the table-lock engines the paper runs on and is
+// impossible. INSERT ... SELECT and UPDATE ... FROM (subquery) whose source
+// does not read the written table lock in two phases (LockPlan::phased):
+// shared locks while the source is evaluated, then the exclusive lock
+// alone for the apply. This mirrors the table-lock engines the paper runs on and is
 // exactly the overhead SQLoop's per-partition tables + message tables are
 // designed to avoid (paper §V-C).
 #pragma once
@@ -169,6 +172,9 @@ class Executor {
   struct ExecContext {
     // CTE name (folded) -> materialized relation visible to the query.
     std::unordered_map<std::string, const Relation*> cte_bindings;
+    // Cores FindEmptyCores proved empty before the locks were taken:
+    // answered without a scan, their tables never locked.
+    std::unordered_set<const sql::SelectCore*> empty_cores;
   };
 
   /// Everything PrepareJoin resolves before a join runs: evaluated (or
@@ -228,6 +234,16 @@ class Executor {
   /// mixing batch-wise kernels with throw-capable per-lane work could
   /// surface a different first error than the row path — the caller falls
   /// through to the row-at-a-time fused path.
+  /// True for a single-table, non-aggregate core whose WHERE bounds a
+  /// column to an empty literal range (`c > 5 AND c <= 5`) and whose
+  /// conjuncts are all total: it returns no rows, whatever its table holds.
+  bool IsEmptyRangeCore(const sql::SelectCore& core,
+                        const ExecContext& ctx) const;
+  /// Collects every such core of `select`, nested FROM subqueries
+  /// included, into ctx.empty_cores. A phased read (LockPlan::phased) runs
+  /// it before locking, so a Gather's idle outbox arms neither scan nor
+  /// lock their outboxes.
+  void FindEmptyCores(const sql::SelectStmt& select, ExecContext& ctx) const;
   bool TryVectorizedCore(const sql::SelectCore& core, ExecContext& ctx,
                          bool aggregate_mode,
                          const std::vector<sql::OrderItem>* order_by,
@@ -299,9 +315,15 @@ class Executor {
                             Session* session);
   ResultSet ExecWith(const sql::Statement& stmt, ExecContext& ctx);
   ResultSet ExecCreateTable(const sql::Statement& stmt);
-  ResultSet ExecInsert(const sql::Statement& stmt, Session* session);
+  /// Evaluates an INSERT's source SELECT to owned rows.
+  std::vector<Row> SelectForInsert(const sql::Statement& stmt,
+                                   ExecContext& ctx);
+  /// `selected` / `evaluated_from`: the source already evaluated by the
+  /// read phase of a phased lock plan (null = evaluate here).
+  ResultSet ExecInsert(const sql::Statement& stmt, Session* session,
+                       std::vector<Row>* selected = nullptr);
   ResultSet ExecUpdate(const sql::Statement& stmt, Session* session,
-                       ExecContext& ctx);
+                       ExecContext& ctx, Relation* evaluated_from = nullptr);
   ResultSet ExecDelete(const sql::Statement& stmt, Session* session);
   ResultSet ExecTransaction(const sql::Statement& stmt, Session* session);
 
@@ -340,18 +362,20 @@ class Executor {
 
   Database& db_;
   // Connection-local plan map (L1 in front of the shared PlanCache),
-  // keyed by raw statement text. Iterative runs re-execute the same
-  // statements every round from every worker; serving those from here —
-  // and re-binding locally after DDL — keeps the shared cache mutex off
-  // the hot path entirely. Capped: unique per-round message-table SQL
-  // would otherwise grow it without bound.
+  // keyed by raw statement text. Ad-hoc statements a connection repeats
+  // (termination probes, service jobs' loop statements) are served from
+  // here without touching the shared cache mutex. Capped: a long-lived
+  // connection also runs one-off text — every job's setup DDL names its
+  // own partition tables — which would otherwise grow it without bound.
   static constexpr size_t kLocalPlanCapacity = 256;
   std::unordered_map<std::string, std::shared_ptr<const CachedPlan>>
       local_plans_;
   // Keys this connection has compiled exactly once. Ad-hoc text only
   // enters the shared cache on its second compile, so single-use
-  // statements (unique message-table names minted every round) never
-  // churn the shared LRU or its mutex.
+  // statements never evict the pinned round-loop texts from the shared
+  // LRU: a parallel job's setup runs a few hundred distinct DDL/DML texts
+  // (more than the LRU holds alongside the task texts), and promoting
+  // them on first sight doubled sssp-async's parses per job.
   std::unordered_set<std::string> first_misses_;
   bool last_prepare_parsed_ = false;
   // Scan-volume accounting for the statement currently executing (each

@@ -40,6 +40,12 @@ namespace sqloop::minidb {
 /// execution path (DDL, TRUNCATE, transactions) have an empty entry list.
 struct LockPlan {
   std::vector<std::pair<std::string, bool>> entries;
+  /// INSERT ... SELECT / UPDATE ... FROM (subquery) whose source does not
+  /// read the written table: the source is evaluated to owned rows under
+  /// the shared locks alone, and the exclusive lock covers only the apply
+  /// phase, so a writer never holds readers off while it computes what to
+  /// write.
+  bool phased = false;
 };
 
 /// Bind-time access-path choice for one SELECT core. Only the common
@@ -97,8 +103,9 @@ struct CachedPlan {
 std::string NormalizeSqlKey(std::string_view sql);
 
 /// Thread-safe LRU cache of CachedPlan entries. One instance per Database;
-/// capacity-capped because iterative runs mint unique message-table names
-/// that would otherwise grow the cache without bound.
+/// capacity-capped because every distinct statement text a long-lived
+/// database ever sees (each job's setup DDL names its own tables) would
+/// otherwise grow the cache without bound.
 class PlanCache {
  public:
   static constexpr size_t kDefaultCapacity = 512;

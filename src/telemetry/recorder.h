@@ -37,8 +37,8 @@ struct IterationStats {
   double compute_seconds = 0;      // summed Compute task wall time
   double gather_seconds = 0;       // summed Gather task wall time
   double barrier_wait_seconds = 0; // aggregate worker idle at Sync barriers
-  uint64_t messages_produced = 0;  // message tables registered this round
-  uint64_t messages_consumed = 0;  // message tables read by Gathers
+  uint64_t messages_produced = 0;  // message batches published this round
+  uint64_t messages_consumed = 0;  // message batches read by Gathers
   uint64_t partitions_skipped = 0; // AsyncP partitions skipped as idle
   double seconds = 0;              // wall time of the whole round
 };

@@ -3,8 +3,12 @@
 // behaviour across partition/thread extremes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <shared_mutex>
+#include <string>
 
+#include "core/observer.h"
 #include "core/workloads.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -183,6 +187,60 @@ TEST(ParallelDetail, MessageTablesAreCleanedUp) {
   auto& db = loop.connection().database();
   for (const auto& name : db.TableNames()) {
     EXPECT_EQ(name.find("pagerank"), std::string::npos) << name;
+  }
+}
+
+/// Tracks, at every round end, the most DELETE tombstones any outbox of
+/// `base` holds (rows stored but no longer live).
+class OutboxTombstoneProbe : public ExecutionObserver {
+ public:
+  OutboxTombstoneProbe(minidb::Database& db, std::string base, int partitions)
+      : db_(db), base_(std::move(base)), partitions_(partitions) {}
+
+  void OnRoundEnd(const telemetry::IterationStats&) override {
+    for (int k = 0; k < partitions_; ++k) {
+      const auto table = db_.FindTable(base_ + "_msg" + std::to_string(k));
+      ASSERT_NE(table, nullptr);
+      const std::shared_lock lock(table->lock());
+      max_dead_ = std::max(max_dead_,
+                           table->slot_count() - table->live_row_count());
+    }
+  }
+  size_t max_dead() const { return max_dead_; }
+
+ private:
+  minidb::Database& db_;
+  std::string base_;
+  int partitions_;
+  size_t max_dead_ = 0;
+};
+
+TEST(ParallelDetail, LongAsyncRunsCompactTheirOutboxes) {
+  // Async rounds never leave an outbox fully consumed (partitions gathered
+  // before a source's Compute read its batch next round), so collection
+  // DELETEs the consumed prefix and the payload stays behind as tombstones
+  // until a compaction copies the live rows out and back. Over 40 rounds
+  // each source deletes well past the 1024-row compaction threshold: the
+  // tombstones must stay bounded, and the copy must lose nothing — the
+  // ranks still reach the PageRank fixpoint (a compaction that dropped its
+  // live rows lands about 1e-4 off it).
+  const graph::Graph g = graph::MakeWebGraph(300, 3, 11);
+  CoreFixtureBase fixture("postgres");
+  fixture.LoadGraph(g);
+  SqLoop loop(fixture.Url(),
+              fixture.SmallOptions(ExecutionMode::kAsync, /*partitions=*/2,
+                                   /*threads=*/1));
+  OutboxTombstoneProbe probe(loop.connection().database(), "pagerank", 2);
+  loop.set_observer(&probe);
+  const auto result = loop.Execute(workloads::PageRankQuery(40));
+  loop.set_observer(nullptr);
+  EXPECT_GT(loop.last_run().message_tables, 40u);
+  EXPECT_LT(probe.max_dead(), 2 * 1024u);
+  const auto reference = graph::PageRankReference(g, 200);
+  for (const auto& row : result.rows) {
+    EXPECT_NEAR(row[1].as_double(), reference.rank.at(row[0].as_int()),
+                1e-9)
+        << "node " << row[0].as_int();
   }
 }
 

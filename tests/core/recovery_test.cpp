@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
 #include "common/fault.h"
 #include "core/workloads.h"
@@ -415,6 +416,95 @@ TEST(RecoveryTest, StragglerSpeculationKeepsResultExact) {
     }
   }
   EXPECT_TRUE(fired) << "no trigger offset landed the slow fault on a task";
+}
+
+TEST(RecoveryTest, SpeculatedPageRankComputeKeepsSyncResultBitIdentical) {
+  // A Compute frozen by a slow fault is claimed by the watchdog and re-run
+  // on a spare connection under the same outbox seq: the retraction
+  // clears whatever the primary staged, so every batch lands once and the
+  // SUM-based Sync result matches a fault-free run bit for bit.
+  const graph::Graph g = graph::MakeWebGraph(120, 3, 7);
+  const std::string query = workloads::PageRankQuery(6);
+  std::vector<std::string> clean;
+  {
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqLoop loop(fixture.Url(), BaseOptions(ExecutionMode::kSync, 2));
+    clean = Canonical(loop.Execute(query));
+  }
+
+  bool fired = false;
+  for (const int every : {40, 55, 70, 85, 100}) {
+    SCOPED_TRACE("fault_slow_every=" + std::to_string(every));
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqloopOptions options = BaseOptions(ExecutionMode::kSync, 2);
+    options.straggler_factor = 3.0;
+    options.straggler_min_ms = 30;
+    SqLoop loop(fixture.Url() + "&fault_seed=9&fault_slow_every=" +
+                    std::to_string(every) + "&fault_slow_us=400000&fault_max=1",
+                options);
+    EXPECT_EQ(Canonical(loop.Execute(query)), clean);
+    const RunStats& stats = loop.last_run();
+    EXPECT_EQ(stats.speculative_tasks,
+              stats.speculative_wins + stats.speculative_losses);
+    if (stats.speculative_tasks > 0) {
+      fired = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(fired) << "no trigger offset landed the slow fault on a task";
+}
+
+/// Rewrites a sealed manifest into the pre-outbox layout (version 1, one
+/// entry per message table, a consumed index per partition), resealed
+/// with a valid CRC so only the layout itself can reject it.
+void RewriteAsLegacyManifest(const fs::path& manifest, size_t partitions) {
+  std::ifstream in(manifest);
+  std::string line;
+  std::string body;
+  while (std::getline(in, line)) {
+    if (line.rfind("crc=", 0) == 0 || line.rfind("outbox_files=", 0) == 0 ||
+        line.rfind("published=", 0) == 0 ||
+        line.rfind("watermarks=", 0) == 0 ||
+        line.rfind("addressed=", 0) == 0) {
+      continue;
+    }
+    if (line.rfind("sqloop_checkpoint=", 0) == 0) line = "sqloop_checkpoint=1";
+    body += line + "\n";
+    if (line.rfind("partition_files=", 0) == 0) {
+      body += "message_count=0\n";
+      std::string consumed;
+      for (size_t k = 0; k < partitions; ++k) {
+        consumed += (k > 0 ? ",0" : "0");
+      }
+      body += "consumed=" + consumed + "\nmessage_seq=0\n";
+    }
+  }
+  in.close();
+  body += "crc=" + std::to_string(Crc32(body.data(), body.size())) + "\n";
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << body;
+}
+
+TEST(RecoveryTest, LegacyLayoutCheckpointFallsBackToFreshRun) {
+  // Checkpoints from before the outbox layout record message tables and
+  // consumed indexes the runner no longer has. Resuming from them would
+  // restore wrongly, so they must be rejected — the run starts fresh and
+  // still lands on the clean result.
+  const graph::Graph g = graph::MakeWebGraph(120, 3, 7);
+  const std::string query = workloads::PageRankQuery(6);
+  RecoveryOutcome out = KillThenResume(
+      g, query, ExecutionMode::kSync, 2, /*kill_round=*/4, /*cadence=*/1,
+      [](const std::string& root) {
+        const auto dirs = CheckpointsNewestFirst(root);
+        ASSERT_FALSE(dirs.empty());
+        for (const auto& dir : dirs) {
+          RewriteAsLegacyManifest(dir / "manifest", 8);
+        }
+      });
+  EXPECT_GT(out.kill_stats.checkpoints_written, 0u);
+  EXPECT_EQ(out.resume_stats.resumed_from_round, 0);
+  EXPECT_EQ(out.resumed, out.clean);
 }
 
 TEST(RecoveryTest, TasksStrandedOnRetiredWorkersRebalanceToSurvivors) {

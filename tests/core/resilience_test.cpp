@@ -388,5 +388,47 @@ TEST(ResilienceTest, PlanCacheIsInvisibleUnderFaults) {
   }
 }
 
+TEST(ResilienceTest, LostComputeRepliesLeaveExactlyOneCopyOfEachBatch) {
+  // Every third outbox INSERT or retraction applies and then drops the
+  // connection before its reply: the worker cannot tell whether its rows
+  // landed. The retry deletes the rows stamped with the attempt's seq and
+  // produces them again, so each batch is published once with one copy of
+  // its rows — a duplicate would double-count PageRank's SUM. Sync is
+  // order-deterministic at any pool width, so equality is exact.
+  const graph::Graph g = graph::MakeWebGraph(120, 3, 7);
+  const std::string query = workloads::PageRankQuery(6);
+  SqloopOptions options = ResilientOptions(ExecutionMode::kSync, 2);
+  options.partitions = 4;
+  std::vector<std::string> clean;
+  RunStats clean_stats;
+  {
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqLoop loop(fixture.Url(), options);
+    clean = Canonical(loop.Execute(query));
+    clean_stats = loop.last_run();
+  }
+
+  CoreFixtureBase fixture("postgres");
+  fixture.LoadGraph(g);
+  SqLoop loop(fixture.Url(), options);
+  // Server-side, after the master connected: the workers' connections —
+  // the ones running Computes — carry the injector.
+  minidb::Server* server = dbc::DriverManager::FindHost(HostOf(fixture.Url()));
+  ASSERT_NE(server, nullptr);
+  FaultConfig config;
+  config.lost_reply_every = 3;
+  auto injector = std::make_shared<FaultInjector>(config);
+  server->set_fault_injector(injector);
+  const auto faulted = Canonical(loop.Execute(query));
+  server->set_fault_injector(nullptr);
+
+  EXPECT_EQ(faulted, clean);
+  const RunStats& stats = loop.last_run();
+  EXPECT_GT(injector->injected(FaultKind::kLostReply), 0u);
+  EXPECT_GT(stats.retries, 0u);
+  EXPECT_EQ(stats.message_tables, clean_stats.message_tables);
+}
+
 }  // namespace
 }  // namespace sqloop::core

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/fault.h"
 #include "dbc/driver.h"
 #include "minidb/server.h"
 
@@ -242,6 +243,34 @@ TEST_F(PreparedStatementTest, ModeledCompileCostIsPaidOnceNotPerExecute) {
   conn->ExecuteQuery("SELECT COUNT(*) FROM t WHERE id >= 0");
   conn->ExecuteQuery("SELECT COUNT(*) FROM t WHERE id >= 0");
   EXPECT_GT(cache.hits(), hits0);
+}
+
+TEST_F(PreparedStatementTest, LostReplyStrikesOnlyRetrySafeHandlesAfterApply) {
+  auto conn = Connect();
+  conn->Execute("CREATE TABLE t (id BIGINT)");
+  FaultConfig config;
+  config.lost_reply_every = 1;
+  auto injector = std::make_shared<FaultInjector>(config);
+  conn->set_fault_injector(injector);
+
+  // An ordinary handle keeps the fail-before-the-engine model.
+  auto plain = conn->Prepare("INSERT INTO t VALUES (?)");
+  plain.SetInt64(1, 1);
+  EXPECT_EQ(plain.ExecuteUpdate(), 1u);
+
+  // A retry-safe handle applies, then loses its reply with the connection.
+  auto safe = conn->Prepare("INSERT INTO t VALUES (?)");
+  safe.set_retry_safe(true);
+  safe.SetInt64(1, 2);
+  EXPECT_THROW(safe.ExecuteUpdate(), ConnectionLostError);
+  EXPECT_TRUE(conn->closed());
+  EXPECT_EQ(injector->injected(FaultKind::kLostReply), 1u);
+
+  conn->set_fault_injector(nullptr);
+  conn->Reopen();
+  const auto rows = conn->ExecuteQuery("SELECT id FROM t ORDER BY id");
+  ASSERT_EQ(rows.rows.size(), 2u);  // the lost-reply INSERT was applied
+  EXPECT_EQ(rows.rows[1][0].as_int(), 2);
 }
 
 }  // namespace
