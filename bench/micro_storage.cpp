@@ -1,36 +1,29 @@
-// micro_storage — the paged-storage / buffer-pool benchmark.
+// micro_storage — the buffer-pool benchmark.
 //
-// Two measurements:
-//   1. Hit-path overhead: the selective-scan micro of bench/micro_scan
-//      (`SELECT COUNT(*), SUM(rank) FROM storage_state WHERE delta = 1`,
-//      ~1% matching) timed against a resident vector-of-rows table
-//      (paged=0) and against a paged table whose pool is unbounded, so
-//      every access is a pool hit. The ratio is the pin/visit tax of the
-//      slotted-page representation when nothing ever spills — the
-//      regression CI gates at < 10%.
-//   2. Bounded pool end to end: the same web graph loaded twice — once
-//      resident, once paged with `buffer_pool_bytes` set to a quarter of
-//      the table's tracked bytes — then PageRank in all four execution
-//      modes on both. Results must match mode for mode (bit-identical
-//      single-threaded, 1e-9-equivalent in the parallel modes whose FP
-//      summation order is scheduling-dependent), CHECKSUM TABLE must
-//      agree across representations, the run must actually evict, and
-//      the pool's resident peak must stay near its budget. At paper
-//      scale (`SQLOOP_BENCH_PR_NODES` sized so edges >= 7.6M, the SNAP
-//      soc-LiveJournal row count) this is the fig4/fig5 setting with the
-//      working set forced through the spill files.
+// The same web graph is loaded twice: once into a database whose pool is
+// unbounded (the oracle — the same slotted pages, but nothing is ever
+// evicted, pinned, or copied out), once into a database with
+// `buffer_pool_bytes` set to a quarter of the table's tracked bytes. Then
+// PageRank runs in all four execution modes on both. Results must match
+// mode for mode (bit-identical single-threaded, 1e-9-equivalent in the
+// parallel modes whose FP summation order is scheduling-dependent),
+// CHECKSUM TABLE must agree across the two databases, the bounded run
+// must actually evict, and the pool's resident peak must stay near its
+// budget. At paper scale (`SQLOOP_BENCH_PR_NODES` sized so edges >= 7.6M,
+// the SNAP soc-LiveJournal row count) this is the fig4/fig5 setting with
+// the working set forced through the spill files.
 //
 // Latency, per-row cost, and compile cost are zeroed so storage CPU is
 // what is being compared.
 //
 // Writes a JSON baseline (default BENCH_storage.json; --json <path> to
 // move it) and sqlplot-tools `RESULT key=value ...` lines on stdout.
-// Exit code is nonzero if the hit-path overhead reaches 10%, any
-// paged/resident result pair diverges, the bounded run never evicts, or
-// the pool's resident peak exceeds twice its budget.
+// Exit code is nonzero if any bounded/unbounded result pair diverges, the
+// bounded run never evicts, or the pool's resident peak exceeds twice its
+// budget.
 //
-// Knobs: SQLOOP_BENCH_{STORAGE_ROWS,STORAGE_REPS,POOL_BYTES,PR_NODES,
-// PR_DEG,PR_ITERS,THREADS,PARTITIONS}.
+// Knobs: SQLOOP_BENCH_{POOL_BYTES,PR_NODES,PR_DEG,PR_ITERS,THREADS,
+// PARTITIONS}.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -40,7 +33,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "dbc/prepared_statement.h"
 #include "graph/generators.h"
 
 namespace {
@@ -91,11 +83,11 @@ std::string Dump(const dbc::ResultSet& result) {
 
 struct ModeRun {
   const char* mode;
-  double resident_seconds = 0;
-  double paged_seconds = 0;
+  double unbounded_seconds = 0;
+  double bounded_seconds = 0;
   bool match = true;
   double overhead() const {
-    return resident_seconds > 0 ? paged_seconds / resident_seconds : 0;
+    return unbounded_seconds > 0 ? bounded_seconds / unbounded_seconds : 0;
   }
 };
 
@@ -113,8 +105,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int64_t rows = Knob("STORAGE_ROWS", 200000);
-  const int64_t reps = Knob("STORAGE_REPS", 60);
   // Defaults run PageRank to convergence: the async modes' intermediate
   // states are scheduling-dependent, so only converged ranks are
   // comparable within the 1e-9 tolerance (micro_scan sizes likewise).
@@ -124,121 +114,32 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(Knob("THREADS", 4));
   const int partitions = static_cast<int>(Knob("PARTITIONS", 8));
 
-  // A private host: the two arms need storage settings fixed *before*
-  // their tables exist (tables latch eviction participation at creation),
+  // A private host: the bounded database needs its budget fixed *before*
+  // its tables exist (tables latch eviction participation at creation),
   // which EngineFleet's load-at-construction can't express.
   minidb::Server server;
   dbc::DriverManager::RegisterHost("bench_storage", &server);
-  auto resident_db = server.CreateDatabase(
-      "resident", minidb::EngineProfile::ByName("postgres"));
-  resident_db->set_paged_enabled(false);
-  auto paged_db = server.CreateDatabase(
-      "paged", minidb::EngineProfile::ByName("postgres"));
+  auto unbounded_db = server.CreateDatabase(
+      "unbounded", minidb::EngineProfile::ByName("postgres"));
+  auto bounded_db = server.CreateDatabase(
+      "bounded", minidb::EngineProfile::ByName("postgres"));
   const auto url = [](const std::string& db) {
     return "minidb://bench_storage/" + db +
            "?latency_us=0&row_cost_ns=0&compile_us=0";
   };
+  auto unbounded_conn = dbc::DriverManager::GetConnection(url("unbounded"));
+  auto bounded_conn = dbc::DriverManager::GetConnection(url("bounded"));
 
-  // --- 1: hit-path overhead (unbounded pool, everything resident) --------
-  const std::string probe =
-      "SELECT COUNT(*), SUM(rank) FROM storage_state WHERE delta = 1";
-  auto resident_conn = dbc::DriverManager::GetConnection(url("resident"));
-  auto paged_conn = dbc::DriverManager::GetConnection(url("paged"));
-  {
-    // Both arms load interleaved, one batch at a time: loading one table
-    // and then the other would give each a single contiguous allocator
-    // region, and whichever one lands better in the TLB would skew the
-    // overhead ratio by allocation luck rather than storage cost.
-    const std::string ddl =
-        "CREATE TABLE storage_state (id BIGINT PRIMARY KEY, "
-        "rank DOUBLE PRECISION, delta BIGINT)";
-    resident_conn->Execute(ddl);
-    paged_conn->Execute(ddl);
-    auto resident_insert =
-        resident_conn->Prepare("INSERT INTO storage_state VALUES (?, ?, ?)");
-    auto paged_insert =
-        paged_conn->Prepare("INSERT INTO storage_state VALUES (?, ?, ?)");
-    for (int64_t i = 0; i < rows; ++i) {
-      for (dbc::PreparedStatement* insert :
-           {&resident_insert, &paged_insert}) {
-        insert->SetInt64(1, i);
-        insert->SetDouble(2, 1.0 / static_cast<double>(i + 1));
-        insert->SetInt64(3, i % 100 == 0 ? 1 : 0);
-        insert->AddBatch();
-      }
-      if (i % 4096 == 4095) {
-        resident_insert.ExecuteBatch();
-        paged_insert.ExecuteBatch();
-      }
-    }
-    resident_insert.ExecuteBatch();
-    paged_insert.ExecuteBatch();
-  }
-
-  // The overhead ratio gates CI, and on a shared box whole-loop timings
-  // swing by 10%+ as other work comes and goes. Each execution is timed
-  // individually and each arm keeps its minimum: the min over reps x
-  // trials ~1.7ms samples estimates the uncontended per-execution cost
-  // and is nearly immune to preemption spikes. Arms alternate per trial
-  // so slow minutes hit both equally.
-  double resident_scan = 0;
-  double paged_scan = 0;
-  resident_conn->ExecuteQuery(probe);  // warm caches before timing
-  paged_conn->ExecuteQuery(probe);
-  const auto min_exec = [&](dbc::Connection& conn) {
-    double best = 0;
-    for (int64_t i = 0; i < reps; ++i) {
-      const Stopwatch watch;
-      conn.ExecuteQuery(probe);
-      const double elapsed = watch.ElapsedSeconds();
-      if (i == 0 || elapsed < best) best = elapsed;
-    }
-    return best;
-  };
-  for (int trial = 0; trial < 7; ++trial) {
-    const double r = min_exec(*resident_conn);
-    const double p = min_exec(*paged_conn);
-    if (trial == 0 || r < resident_scan) resident_scan = r;
-    if (trial == 0 || p < paged_scan) paged_scan = p;
-  }
-  const bool scans_identical = Dump(resident_conn->ExecuteQuery(probe)) ==
-                               Dump(paged_conn->ExecuteQuery(probe));
-  const double hit_overhead =
-      resident_scan > 0 ? paged_scan / resident_scan : 0;
-  const uint64_t hit_misses = paged_db->buffer_pool().stats().misses;
-
-  std::cout << "hit path (" << rows << " rows, " << reps
-            << " executions, unbounded pool):\n"
-            << std::fixed << std::setprecision(4)
-            << "  resident " << resident_scan << "s  paged " << paged_scan
-            << "s  overhead " << std::setprecision(2)
-            << (hit_overhead - 1.0) * 100.0 << "%  identical "
-            << (scans_identical ? "yes" : "NO") << "\n\n";
-  {
-    bench::ResultLine line("micro_storage");
-    line.Add("arm", "hit_path")
-        .Add("rows", rows)
-        .Add("reps", reps)
-        .Add("resident_seconds", resident_scan)
-        .Add("paged_seconds", paged_scan)
-        .Add("overhead", hit_overhead)
-        .Add("identical", scans_identical);
-    line.Print();
-  }
-  resident_conn->Execute("DROP TABLE storage_state");
-  paged_conn->Execute("DROP TABLE storage_state");
-
-  // --- 2: bounded pool, PageRank in all four modes -----------------------
   const auto graph = graph::MakeWebGraph(nodes, static_cast<int>(deg), 7);
-  graph::LoadEdges(*resident_conn, graph);
+  graph::LoadEdges(*unbounded_conn, graph);
   const int64_t table_bytes =
-      static_cast<int64_t>(resident_db->FindTable("edges")->tracked_bytes());
+      static_cast<int64_t>(unbounded_db->FindTable("edges")->tracked_bytes());
   // A quarter of the dataset: small enough that the working set cannot be
   // resident, large enough that the clock hand isn't thrashing one page.
   const int64_t pool_bytes =
       Knob("POOL_BYTES", std::max<int64_t>(table_bytes / 4, 64 << 10));
-  paged_db->set_buffer_pool_bytes(pool_bytes);
-  graph::LoadEdges(*paged_conn, graph);
+  bounded_db->set_buffer_pool_bytes(pool_bytes);
+  graph::LoadEdges(*bounded_conn, graph);
 
   const std::string pr_query = core::workloads::PageRankQuery(iters);
   const std::vector<std::pair<const char*, core::ExecutionMode>> modes = {
@@ -253,7 +154,7 @@ int main(int argc, char** argv) {
             << table_bytes << " table bytes, " << pool_bytes
             << " pool budget, PageRank " << iters << " iterations):\n"
             << std::left << std::setw(14) << "mode" << std::right
-            << std::setw(12) << "resident" << std::setw(12) << "paged"
+            << std::setw(12) << "unbounded" << std::setw(12) << "bounded"
             << std::setw(11) << "overhead" << std::setw(8) << "match"
             << "\n";
   for (const auto& [label, mode] : modes) {
@@ -261,8 +162,8 @@ int main(int argc, char** argv) {
     run.mode = label;
     const auto options = bench::ModeOptions(mode, threads, partitions, "pr");
     dbc::ResultSet results[2];
-    const std::string urls[2] = {url("resident"), url("paged")};
-    double* seconds[2] = {&run.resident_seconds, &run.paged_seconds};
+    const std::string urls[2] = {url("unbounded"), url("bounded")};
+    double* seconds[2] = {&run.unbounded_seconds, &run.bounded_seconds};
     for (int arm = 0; arm < 2; ++arm) {
       double best = 0;
       for (int trial = 0; trial < 3; ++trial) {
@@ -280,7 +181,7 @@ int main(int argc, char** argv) {
                     : Equivalent(results[0], results[1]);
     std::cout << std::left << std::setw(14) << run.mode << std::right
               << std::fixed << std::setprecision(4) << std::setw(12)
-              << run.resident_seconds << std::setw(12) << run.paged_seconds
+              << run.unbounded_seconds << std::setw(12) << run.bounded_seconds
               << std::setprecision(2) << std::setw(10) << run.overhead()
               << "x" << std::setw(8) << (run.match ? "yes" : "NO") << "\n";
     bench::ResultLine line("micro_storage");
@@ -288,20 +189,22 @@ int main(int argc, char** argv) {
         .Add("mode", run.mode)
         .Add("edges", static_cast<int64_t>(graph.edges().size()))
         .Add("pool_bytes", pool_bytes)
-        .Add("resident_seconds", run.resident_seconds)
-        .Add("paged_seconds", run.paged_seconds)
+        .Add("unbounded_seconds", run.unbounded_seconds)
+        .Add("bounded_seconds", run.bounded_seconds)
         .Add("overhead", run.overhead())
         .Add("match", run.match);
     line.Print();
     runs.push_back(run);
   }
 
-  // The maintained content checksums must agree across representations.
+  // The maintained content checksums must agree across pool budgets.
+  const auto checksum = [](dbc::Connection& conn) {
+    return conn.ExecuteQuery("CHECKSUM TABLE edges").rows[0][1].as_text();
+  };
   const bool checksums_match =
-      resident_conn->ExecuteQuery("CHECKSUM TABLE edges").rows[0][1].as_text() ==
-      paged_conn->ExecuteQuery("CHECKSUM TABLE edges").rows[0][1].as_text();
+      checksum(*unbounded_conn) == checksum(*bounded_conn);
 
-  const auto pool = paged_db->buffer_pool().stats();
+  const auto pool = bounded_db->buffer_pool().stats();
   const bool evicted = pool.pages_evicted > 0 && pool.bytes_spilled > 0;
   // FaultIn evicts right after each residency increase, so the peak can
   // legitimately overshoot by in-flight pinned pages — but a peak past
@@ -325,11 +228,9 @@ int main(int argc, char** argv) {
     line.Print();
   }
 
-  bool results_match = scans_identical && checksums_match;
+  bool results_match = checksums_match;
   for (const auto& run : runs) results_match &= run.match;
-  const bool hit_fast = hit_overhead < 1.10;
-  std::cout << "\nhit-path overhead < 10%: " << (hit_fast ? "yes" : "NO")
-            << "\nall paged/resident results match: "
+  std::cout << "\nall bounded/unbounded results match: "
             << (results_match ? "yes" : "NO")
             << "\nbounded run evicted and spilled: "
             << (evicted ? "yes" : "NO")
@@ -338,12 +239,7 @@ int main(int argc, char** argv) {
 
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
-  json << "{\n  \"hit_path\": {\"rows\": " << rows << ", \"reps\": " << reps
-       << ", \"resident_seconds\": " << resident_scan
-       << ", \"paged_seconds\": " << paged_scan
-       << ", \"misses\": " << hit_misses
-       << ", \"identical\": " << (scans_identical ? "true" : "false")
-       << "},\n  \"bounded\": {\"edges\": " << graph.edges().size()
+  json << "{\n  \"bounded\": {\"edges\": " << graph.edges().size()
        << ", \"table_bytes\": " << table_bytes
        << ", \"pool_bytes\": " << pool_bytes
        << ", \"iterations\": " << iters << ", \"threads\": " << threads
@@ -351,8 +247,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < runs.size(); ++i) {
     const ModeRun& r = runs[i];
     json << "    {\"mode\": \"" << r.mode
-         << "\", \"resident_seconds\": " << r.resident_seconds
-         << ", \"paged_seconds\": " << r.paged_seconds
+         << "\", \"unbounded_seconds\": " << r.unbounded_seconds
+         << ", \"bounded_seconds\": " << r.bounded_seconds
          << ", \"overhead\": " << r.overhead()
          << ", \"match\": " << (r.match ? "true" : "false") << "}"
          << (i + 1 < runs.size() ? "," : "") << "\n";
@@ -362,14 +258,12 @@ int main(int argc, char** argv) {
        << ", \"pages_evicted\": " << pool.pages_evicted
        << ", \"bytes_spilled\": " << pool.bytes_spilled
        << ", \"resident_peak\": " << pool.resident_peak << "}"
-       << ",\n  \"hit_overhead\": " << hit_overhead
        << ",\n  \"checksums_match\": " << (checksums_match ? "true" : "false")
-       << ",\n  \"floors\": {\"hit_overhead_max\": 1.10}"
        << ",\n  \"peak_rss_bytes\": " << bench::PeakRssBytes()
        << ",\n  \"results_match\": " << (results_match ? "true" : "false")
        << "\n}\n";
   std::cout << "wrote " << json_path << "\n";
 
   dbc::DriverManager::RegisterHost("bench_storage", nullptr);
-  return hit_fast && results_match && evicted && peak_bounded ? 0 : 1;
+  return results_match && evicted && peak_bounded ? 0 : 1;
 }

@@ -99,11 +99,6 @@ struct ConnectionConfig {
   /// spill to per-table scratch files and fault back in on access. Must be
   /// positive when given; 0 = unbounded (pages never spill).
   int64_t buffer_pool_bytes = 0;
-  /// Paged-storage toggle (`paged=0|1`). Tables created while paged is on
-  /// use slotted pages behind the buffer pool; `paged=0` keeps the
-  /// resident row-vector representation as a differential oracle.
-  /// -1 = parameter absent (leave the database's current setting alone).
-  int paged = -1;
 
   static ConnectionConfig Parse(const std::string& url);
 };

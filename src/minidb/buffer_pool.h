@@ -3,8 +3,10 @@
 //
 // Budgeted ("bounded") pools evict unpinned pages to a per-table spill
 // file when resident bytes cross the budget; unbounded pools (budget 0,
-// the default) register nothing and never evict, so an unbounded paged
-// table behaves — and costs — like the old resident vector-of-rows heap.
+// the default) register nothing and never evict, so their tables keep
+// every page in memory with no pin bookkeeping — the same page layout a
+// bounded pool uses, which makes an unbounded database the differential
+// oracle for a bounded one.
 // Whether a table participates is latched at table creation (see
 // Table::ConfigureStorage): readers of never-evictable tables skip pin
 // bookkeeping entirely, which is what keeps the hit-path overhead low.

@@ -63,7 +63,7 @@ void Database::CreateTable(const std::string& table_name, Schema schema,
   // first insert on.
   table->set_memory_tracker(&tracker_);
   table->set_integrity_enabled(integrity_enabled());
-  table->ConfigureStorage(pool_, paged_enabled());
+  table->ConfigureStorage(pool_);
   tables_.emplace(folded, std::move(table));
   BumpCatalogVersion();
 }

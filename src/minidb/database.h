@@ -39,8 +39,10 @@ class Database {
   MemoryTracker& memory_tracker() noexcept { return tracker_; }
   const MemoryTracker& memory_tracker() const noexcept { return tracker_; }
 
-  /// The buffer pool behind this database's paged tables (see DESIGN.md
-  /// "Paged storage & buffer pool"). Unbounded until a budget is set.
+  /// The buffer pool behind every table's pages (see DESIGN.md "Paged
+  /// storage & buffer pool"). Unbounded until a budget is set; a database
+  /// left unbounded is the differential oracle for a bounded one — same
+  /// page layout, no eviction — so results must be bit-identical.
   BufferPool& buffer_pool() noexcept { return *pool_; }
   const BufferPool& buffer_pool() const noexcept { return *pool_; }
 
@@ -128,19 +130,6 @@ class Database {
     return governance_enabled_.load(std::memory_order_relaxed);
   }
 
-  // --- paged storage toggle ----------------------------------------------
-  // Tables are created on slotted pages behind the buffer pool by default;
-  // switching this off makes tables created afterwards use the resident
-  // vector-of-rows heap (URL knob `paged=0`). Exists as the differential
-  // oracle for the paged path — results must be bit-identical either way.
-
-  void set_paged_enabled(bool enabled) noexcept {
-    paged_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool paged_enabled() const noexcept {
-    return paged_enabled_.load(std::memory_order_relaxed);
-  }
-
   // --- integrity toggle -------------------------------------------------
   // Per-table content checksums are maintained on every mutation by
   // default; switching this off makes tables created afterwards skip the
@@ -182,7 +171,6 @@ class Database {
   std::atomic<bool> vectorized_enabled_{true};
   std::atomic<bool> governance_enabled_{true};
   std::atomic<bool> integrity_enabled_{true};
-  std::atomic<bool> paged_enabled_{true};
   PlanCache plan_cache_;
 };
 

@@ -24,7 +24,7 @@ class BufferPool;
 class Table;
 
 /// Row slots per page. A power of two so the row-id split is a shift/mask.
-/// 1024 keeps the hit-path scan within a few percent of the resident
+/// 1024 keeps the hit-path scan within a few percent of a flat row
 /// vector (longer contiguous header runs between page boundaries) while
 /// the eviction granule stays fine enough for double-digit-KB pool
 /// budgets; 512 measurably pays more boundary cost and 2048 regresses

@@ -1,15 +1,14 @@
-// In-memory or paged table with a primary-key hash index and optional
-// secondary hash indexes. Rows are stored in insertion order with
-// tombstones; the table-level reader/writer lock lives here (the engine's
-// unit of locking, like MyISAM's table locks).
+// Paged table with a primary-key hash index and optional secondary hash
+// indexes. Rows are stored in insertion order with tombstones; the
+// table-level reader/writer lock lives here (the engine's unit of locking,
+// like MyISAM's table locks).
 //
-// Two storage representations (DESIGN.md "Paged storage & buffer pool"):
-//   * resident — a flat std::vector<Row> heap (the original layout; kept
-//     as the differential oracle via Database::set_paged_enabled(false));
-//   * paged    — fixed-capacity slotted pages behind the database's
-//     buffer pool. Row ids are stable across both (page = id / capacity,
-//     slot = id % capacity), so indexes, tombstone bitmaps, and scan
-//     cursors never care which representation is underneath.
+// Rows live on fixed-capacity slotted pages (DESIGN.md "Paged storage &
+// buffer pool"). Row ids are stable (page = id / capacity, slot = id %
+// capacity), so indexes, tombstone bitmaps, and scan cursors address rows
+// without caring whether a page is resident or spilled. Whether pages can
+// be evicted is decided by the buffer pool the table is configured with:
+// none, or an unbounded one, keeps every page resident with no pinning.
 #pragma once
 
 #include <atomic>
@@ -45,18 +44,15 @@ class Table {
     tracker_ = tracker;
   }
 
-  /// Switches the table to paged storage backed by `pool`. Set by Database
-  /// before the table is published (mirrors set_memory_tracker); must not
-  /// be flipped once rows exist. Whether the table's pages participate in
-  /// eviction is latched here from the pool's budget: pages of a table
-  /// created under an unbounded pool are never evicted, so its readers
-  /// skip pin bookkeeping entirely (the hit path stays within a few
-  /// percent of the resident representation).
-  void ConfigureStorage(std::shared_ptr<BufferPool> pool, bool paged);
+  /// Puts the table's pages behind `pool`. Set by Database before the
+  /// table is published (mirrors set_memory_tracker); must not change once
+  /// rows exist. Whether the table's pages participate in eviction is
+  /// latched here from the pool's budget: pages of a table created under
+  /// an unbounded pool (or with no pool) are never evicted, so its readers
+  /// skip pin bookkeeping entirely.
+  void ConfigureStorage(std::shared_ptr<BufferPool> pool);
 
-  bool paged() const noexcept { return paged_; }
-
-  /// True when this table's pages can be evicted (paged + bounded pool at
+  /// True when this table's pages can be evicted (bounded pool at
   /// creation). The executor prefers copy-out scans with windowed pins
   /// over whole-table borrowed views for such tables, so a full pass
   /// stays inside the pool budget.
@@ -131,8 +127,9 @@ class Table {
   /// Fills `out` with up to `capacity` live row views starting at slot
   /// `*cursor` (skipping tombstones) and advances the cursor past the
   /// visited slots. Returns the lane count; 0 means the scan is exhausted.
-  /// Views follow the borrowed-relation lifetime rules; on the paged path
-  /// this is pin → straight-run fill → (scope-deferred) unpin per page.
+  /// Views follow the borrowed-relation lifetime rules; on a spill-enabled
+  /// table this is pin → straight-run fill → (scope-deferred) unpin per
+  /// page.
   size_t FillBatch(size_t* cursor, const Row** out, size_t capacity) const;
 
   /// Fills `out` with the row views for `ids[0..count)` (an IndexProbe
@@ -160,15 +157,15 @@ class Table {
   /// The incrementally-maintained content checksum: the mod-2^64 sum of
   /// every live row's FNV-1a hash (order-independent, so it is identical
   /// across execution modes that insert rows in different orders — and
-  /// across the paged and resident storage representations).
+  /// across pool budgets, which only decide where pages live).
   uint64_t content_hash() const noexcept { return content_hash_; }
 
   /// Recomputes the checksum from the live rows and compares it to the
   /// maintained one (the CHECK TABLE / scrub primitive; caller holds at
   /// least the shared lock). On mismatch returns false and fills the
-  /// optional out-params. Always true when integrity is disabled. On the
-  /// paged path verification runs page by page against the per-page hash
-  /// shards, so `first_bad_page_out` can localize the damage.
+  /// optional out-params. Always true when integrity is disabled.
+  /// Verification runs page by page against the per-page hash shards, so
+  /// `first_bad_page_out` can localize the damage.
   bool VerifyContent(uint64_t* expected_out = nullptr,
                      uint64_t* actual_out = nullptr,
                      int64_t* first_bad_page_out = nullptr) const;
@@ -226,11 +223,6 @@ class Table {
   /// The tail page with room for one more row (creates and registers a
   /// fresh one when needed).
   Page* TailPageForInsert();
-  /// Mutable storage cell for a mutator that already holds a pin.
-  Row& StoredRow(size_t row_id) noexcept {
-    return paged_ ? PageFor(row_id)->rows[row_id & kPageRowMask]
-                  : rows_[row_id];
-  }
 
   void IndexInsert(size_t row_id, const Row& row);
   void IndexErase(size_t row_id, const Row& row);
@@ -248,13 +240,9 @@ class Table {
   std::atomic<int64_t> tracked_bytes_{0};
   mutable std::shared_mutex lock_;
 
-  // Resident representation (paged_ == false).
-  std::vector<Row> rows_;
-  // Paged representation (paged_ == true). Pages are stable heap objects:
-  // growing the table never moves a row, unlike the vector heap.
+  // Pages are stable heap objects: growing the table never moves a row.
   std::vector<std::unique_ptr<Page>> pages_;
   std::shared_ptr<BufferPool> pool_;
-  bool paged_ = false;
   bool spill_enabled_ = false;
 
   std::vector<char> live_;

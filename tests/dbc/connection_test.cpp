@@ -67,6 +67,10 @@ TEST_F(DbcTest, MalformedUrlsThrow) {
                ConnectionError);
   EXPECT_THROW(ConnectionConfig::Parse("minidb://h/db?nope=1"),
                ConnectionError);
+  // Every table is paged, so `paged` is not a knob: reject it rather than
+  // silently ignore it.
+  EXPECT_THROW(ConnectionConfig::Parse("minidb://h/db?paged=0"),
+               ConnectionError);
   EXPECT_THROW(ConnectionConfig::Parse("minidb://h:notaport/db"),
                ConnectionError);
 }

@@ -1,7 +1,7 @@
 // Paged storage & buffer pool acceptance suite (`ctest -L storage`):
 // pin/unpin balance, clock eviction order, pinned-page eviction refusal,
 // spill/reload round trips, quota-pressure reclaim, the CHECKSUM TABLE
-// statement, checkpoint dump reuse, a paged-vs-resident differential, and
+// statement, checkpoint dump reuse, a bounded-vs-unbounded differential, and
 // a reader/writer/evictor race for the tsan preset.
 #include "minidb/buffer_pool.h"
 
@@ -74,7 +74,7 @@ struct PagedFixture {
         table(std::make_unique<Table>("t", MakeSchema())) {
     pool->set_budget_bytes(budget_bytes);
     table->set_integrity_enabled(true);
-    table->ConfigureStorage(pool, /*paged=*/true);
+    table->ConfigureStorage(pool);
   }
 
   void InsertRows(int64_t count) {
@@ -396,20 +396,20 @@ TEST(CheckpointReuse, UnchangedChecksumRepublishesSealedDump) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(PagedDifferential, BitIdenticalToResidentUnderTinyBudget) {
-  // The same statement stream through (a) the resident vector heap and
-  // (b) paged storage under a budget far below the data size must agree
-  // bit-for-bit — values, row order, and the maintained checksum.
-  Database resident("res", EngineProfile::Canonical());
-  resident.set_paged_enabled(false);
-  Database paged("pag", EngineProfile::Canonical());
-  paged.set_buffer_pool_bytes(96 << 10);  // a couple of pages of budget
-  Executor res_exec(resident);
-  Executor pag_exec(paged);
+TEST(PagedDifferential, BitIdenticalToUnboundedPoolUnderTinyBudget) {
+  // The same statement stream through (a) an unbounded pool — the same
+  // pages, never evicted, pinned, or copied out — and (b) a budget far
+  // below the data size must agree bit-for-bit: values, row order, and
+  // the maintained checksum.
+  Database unbounded("unb", EngineProfile::Canonical());
+  Database bounded("bnd", EngineProfile::Canonical());
+  bounded.set_buffer_pool_bytes(96 << 10);  // a couple of pages of budget
+  Executor unb_exec(unbounded);
+  Executor bnd_exec(bounded);
 
   const auto run_both = [&](const std::string& sql) {
-    const ResultSet a = res_exec.ExecuteSql(sql);
-    const ResultSet b = pag_exec.ExecuteSql(sql);
+    const ResultSet a = unb_exec.ExecuteSql(sql);
+    const ResultSet b = bnd_exec.ExecuteSql(sql);
     ASSERT_EQ(a.rows.size(), b.rows.size()) << sql;
     for (size_t r = 0; r < a.rows.size(); ++r) {
       ASSERT_EQ(a.rows[r].size(), b.rows[r].size()) << sql;
@@ -436,7 +436,8 @@ TEST(PagedDifferential, BitIdenticalToResidentUnderTinyBudget) {
              std::to_string((i * 3) % 89) + ", " + std::to_string(i) +
              ".25)");
   }
-  EXPECT_GT(paged.buffer_pool().stats().pages_evicted, 0u)
+  EXPECT_EQ(unbounded.buffer_pool().stats().pages_evicted, 0u);
+  EXPECT_GT(bounded.buffer_pool().stats().pages_evicted, 0u)
       << "the tiny budget must actually force spills";
 
   run_both("SELECT * FROM s WHERE rank > 100.0 ORDER BY id LIMIT 50");
@@ -451,7 +452,7 @@ TEST(PagedDifferential, BitIdenticalToResidentUnderTinyBudget) {
   run_both("DELETE FROM e WHERE src = 13");
   run_both("SELECT COUNT(*) FROM e");
   run_both("SELECT DISTINCT tag FROM s ORDER BY tag");
-  // The maintained checksums agree across representations.
+  // The maintained checksums agree across pool budgets.
   run_both("CHECKSUM TABLE s");
   run_both("CHECKSUM TABLE e");
 }
@@ -467,19 +468,23 @@ TEST(BufferPool, ReaderWriterEvictorRace) {
   fx.InsertRows(kSeedRows);
 
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> writes{0};
   std::atomic<uint64_t> read_sum{0};
 
   std::thread writer([&] {
     int64_t next_id = kSeedRows;
     for (int iter = 0; iter < 400; ++iter) {
-      const std::unique_lock lock(fx.table->lock());
-      PinScope scope;
-      fx.table->Insert(MakeRow(next_id));
-      Row updated = MakeRow(next_id % kSeedRows);
-      updated[1] = Value(static_cast<double>(iter));
-      fx.table->Update(static_cast<size_t>(next_id % kSeedRows),
-                       std::move(updated));
-      ++next_id;
+      {
+        const std::unique_lock lock(fx.table->lock());
+        PinScope scope;
+        fx.table->Insert(MakeRow(next_id));
+        Row updated = MakeRow(next_id % kSeedRows);
+        updated[1] = Value(static_cast<double>(iter));
+        fx.table->Update(static_cast<size_t>(next_id % kSeedRows),
+                         std::move(updated));
+        ++next_id;
+      }
+      writes.fetch_add(1, std::memory_order_release);
     }
     stop.store(true, std::memory_order_release);
   });
@@ -492,13 +497,24 @@ TEST(BufferPool, ReaderWriterEvictorRace) {
       // readers are scheduled at all; every reader still owes one full
       // scan so the assertion below has teeth.
       do {
-        const std::shared_lock lock(fx.table->lock());
-        PinScope scope;
-        PinScope::Window window;
-        for (size_t id = 0; id < fx.table->slot_count(); ++id) {
-          if ((id & kPageRowMask) == 0) window.Reset();
-          if (!fx.table->IsLive(id)) continue;
-          sum += static_cast<uint64_t>(fx.table->At(id)[0].as_int());
+        const uint64_t seen = writes.load(std::memory_order_acquire);
+        {
+          const std::shared_lock lock(fx.table->lock());
+          PinScope scope;
+          PinScope::Window window;
+          for (size_t id = 0; id < fx.table->slot_count(); ++id) {
+            if ((id & kPageRowMask) == 0) window.Reset();
+            if (!fx.table->IsLive(id)) continue;
+            sum += static_cast<uint64_t>(fx.table->At(id)[0].as_int());
+          }
+        }
+        // Paced on the writer: no next scan until it has completed another
+        // iteration. std::shared_mutex may prefer readers, and two readers
+        // re-taking it back to back can otherwise starve the writer (the
+        // only thread that ends the test) for minutes under sanitizers.
+        while (writes.load(std::memory_order_acquire) == seen &&
+               !stop.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
         }
       } while (!stop.load(std::memory_order_acquire));
       read_sum.fetch_add(sum, std::memory_order_relaxed);
