@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# CI entry point: configure + build the three presets, run the full test
-# suite once on the default build (plus the perf smoke label, the
-# end-to-end benchmark's tiny-scale self-test, the
-# durability and storage acceptance labels, and the scan / service /
-# governance / integrity / storage benchmarks writing their BENCH_*.json
-# baselines), and re-run the concurrency-sensitive suites (fault injection
-# + checkpoint recovery + fused/reference differential + multi-tenant
-# isolation + resource governance + durability hardening + buffer-pool
-# storage) under ASan/UBSan and TSan.
+# CI entry point: configure + build the four presets. The default build
+# runs the full test suite (plus the perf smoke label, the end-to-end
+# benchmark's tiny-scale self-test, the durability and storage acceptance
+# labels, and the scan / service / governance / integrity / storage
+# benchmarks writing their BENCH_*.json baselines). The telemetry-off
+# build runs the full suite with the hooks compiled out: counter
+# assertions drop, every state check stays. ASan/UBSan and TSan re-run
+# the concurrency-sensitive suites (fault injection + checkpoint recovery
+# + fused/reference differential + multi-tenant isolation + resource
+# governance + durability hardening + buffer-pool storage).
 #
 #   ./ci.sh            # everything
-#   ./ci.sh default    # one preset only (default | asan-ubsan | tsan)
+#   ./ci.sh default    # one preset only (default | asan-ubsan | tsan |
+#                      #   telemetry-off)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -113,6 +115,10 @@ run_preset() {
       check_storage_floors BENCH_storage.baseline.json BENCH_storage.json
       rm -f BENCH_storage.baseline.json
       ;;
+    telemetry-off)
+      echo "==> [${preset}] full test suite"
+      ctest --preset "${preset}"
+      ;;
     *)
       echo "==> [${preset}] resilience|recovery|engine|gains|service|governance|durability|storage suites"
       ctest --preset "${preset}"
@@ -123,7 +129,7 @@ run_preset() {
 if [[ $# -gt 0 ]]; then
   run_preset "$1"
 else
-  for preset in default asan-ubsan tsan; do
+  for preset in default telemetry-off asan-ubsan tsan; do
     run_preset "${preset}"
   done
 fi

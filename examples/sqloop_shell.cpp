@@ -117,13 +117,9 @@ void PrintStats(const core::RunStats& stats) {
               << " partitions_rebalanced=" << stats.partitions_rebalanced
               << "\n";
   }
-  if (stats.checkpoints_written + stats.speculative_tasks > 0 ||
-      stats.resumed_from_round > 0) {
+  if (stats.checkpoints_written > 0 || stats.resumed_from_round > 0) {
     std::cout << "durability: checkpoints_written=" << stats.checkpoints_written
-              << " resumed_from_round=" << stats.resumed_from_round
-              << " speculative_tasks=" << stats.speculative_tasks
-              << " speculative_wins=" << stats.speculative_wins
-              << " speculative_losses=" << stats.speculative_losses << "\n";
+              << " resumed_from_round=" << stats.resumed_from_round << "\n";
   }
   if (!stats.fallback_reason.empty()) {
     std::cout << "fallback: " << stats.fallback_reason << "\n";

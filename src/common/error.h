@@ -127,18 +127,6 @@ class QuotaExceededError : public Error {
       : Error("quota exceeded: " + message) {}
 };
 
-/// A straggling task's statement was cancelled because a speculative copy
-/// of the task took ownership (straggler mitigation). Fatal to the retry
-/// machinery — the original attempt must NOT be retried; the speculation
-/// path catches this and hands the task's remaining pieces to the spare
-/// connection. The statement never reached the engine (cancellation is
-/// checked before submission), so no work is double-applied.
-class TaskSupersededError : public Error {
- public:
-  explicit TaskSupersededError(const std::string& message)
-      : Error("task superseded: " + message) {}
-};
-
 /// Stored or in-memory state failed verification: a dump/manifest CRC
 /// mismatch, a table content-checksum mismatch found by `CHECK TABLE` or
 /// the background scrub, or an access to a quarantined table. Fatal —
@@ -168,8 +156,8 @@ class CrashPointError : public Error {
 ///   fatal     — ParseError, AnalysisError, ExecutionError,
 ///               ConnectionError, UsageError, JobKilledError,
 ///               JobCancelledError, QuotaExceededError,
-///               TaskSupersededError, IntegrityError, CrashPointError,
-///               plain Error, anything else
+///               IntegrityError, CrashPointError, plain Error,
+///               anything else
 inline bool IsTransientError(const std::exception& error) noexcept {
   return dynamic_cast<const TransientError*>(&error) != nullptr;
 }

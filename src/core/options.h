@@ -141,18 +141,6 @@ struct SqloopOptions {
   /// ladder; bounded attempts). false = fail loudly on first corruption.
   bool scrub_repair = true;
 
-  // --- straggler mitigation ---------------------------------------------
-
-  /// Speculatively re-execute a task once it has run longer than
-  /// straggler_factor × the p95 task latency (parallel modes only).
-  /// 0 disables speculation entirely.
-  double straggler_factor = 0;
-
-  /// Floor (and cold-start value, before enough latency samples exist) for
-  /// the speculation threshold, in milliseconds. Prevents speculating on
-  /// microsecond tasks whose p95 is noise.
-  int64_t straggler_min_ms = 100;
-
   /// Worker threads actually opened: the explicit `threads` (or the paper's
   /// half-the-CPUs default), clamped to the partition count — with fewer
   /// partitions than threads the extra workers could never be scheduled and
@@ -209,11 +197,6 @@ struct RunStats {
   uint64_t scrub_passes = 0;          // CHECK TABLE sweeps the runner issued
   uint64_t integrity_repairs = 0;     // corruption caught and repaired by
                                       // restarting from a valid checkpoint
-
-  // --- straggler mitigation ---------------------------------------------
-  uint64_t speculative_tasks = 0;     // tasks a speculative copy claimed
-  uint64_t speculative_wins = 0;      // speculation finished remaining work
-  uint64_t speculative_losses = 0;    // nothing left / speculation failed
 
   /// Telemetry of the run: per-round stats, task spans, and the counters
   /// attributed by dbc/minidb. Null until an iterative/recursive execution

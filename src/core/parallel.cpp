@@ -5,12 +5,9 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <thread>
 
 #include "common/error.h"
 #include "common/stopwatch.h"
@@ -81,9 +78,6 @@ constexpr const char* kDirtyColumn = "sqloop_dirty";
 // Rows a source's outbox may hold as DELETE tombstones before collection
 // compacts it (one storage page's worth).
 constexpr uint64_t kCompactDeadRows = 1024;
-
-// Dispatch tracing for scheduler debugging (SQLOOP_SCHED_TRACE=1).
-const bool kSchedulerTrace = std::getenv("SQLOOP_SCHED_TRACE") != nullptr;
 
 }  // namespace
 
@@ -805,9 +799,6 @@ void ParallelRunner::FlushResilienceStats() {
   stats_.workers_retired += workers_retired_.load();
   stats_.degraded_rounds += degraded_rounds_;
   stats_.partitions_rebalanced += rebalanced_.load();
-  stats_.speculative_tasks += speculative_tasks_.load();
-  stats_.speculative_wins += speculative_wins_.load();
-  stats_.speculative_losses += speculative_losses_.load();
 }
 
 // ---------------------------------------------------------------------------
@@ -1341,58 +1332,6 @@ void ParallelRunner::RunRounds() {
     }
   };
 
-  // --- straggler mitigation (DESIGN.md "Checkpointing & recovery") -------
-  // A watchdog thread tracks in-flight tasks; one that exceeds
-  // straggler_factor × the p95 of completed task durations is speculatively
-  // re-executed on a spare connection. Exactly-once is preserved by
-  // cooperative cancellation: the primary's connection refuses further
-  // statements (TaskSupersededError fires before the engine sees them), the
-  // watchdog waits until the primary has provably stopped, then runs only
-  // the spec's remaining pieces. First finisher wins; the loser ran nothing.
-  const bool speculate = options_.straggler_factor > 0 && threads > 1;
-  struct SpecState {
-    std::mutex mutex;
-    std::condition_variable cv;
-    TaskSpec spec;
-    std::shared_ptr<std::atomic<bool>> cancel =
-        std::make_shared<std::atomic<bool>>(false);
-    double started = 0;           // run_watch_ offset at primary start
-    bool claimed = false;         // watchdog owns the remaining pieces
-    bool primary_exited = false;  // primary provably runs no more statements
-    bool done = false;            // spec fully finished (either side)
-  };
-  std::mutex watch_mutex;  // guards watchlist + samples; never nests inward
-  std::vector<std::shared_ptr<SpecState>> watchlist;
-  std::vector<double> task_samples;
-  size_t sample_cursor = 0;
-  constexpr size_t kMaxSamples = 256;
-  constexpr size_t kMinSamples = 8;
-  const auto record_sample = [&](double seconds) {
-    const std::scoped_lock lock(watch_mutex);
-    if (task_samples.size() < kMaxSamples) {
-      task_samples.push_back(seconds);
-    } else {
-      task_samples[sample_cursor] = seconds;
-      sample_cursor = (sample_cursor + 1) % kMaxSamples;
-    }
-  };
-  const auto speculation_threshold = [&]() -> double {
-    // Until enough samples exist the floor alone gates speculation, so a
-    // slow warm-up round cannot trigger a storm of copies.
-    const double floor_s =
-        static_cast<double>(options_.straggler_min_ms) * 1e-3;
-    std::vector<double> samples;
-    {
-      const std::scoped_lock lock(watch_mutex);
-      samples = task_samples;
-    }
-    if (samples.size() < kMinSamples) return floor_s;
-    size_t idx = (samples.size() * 95) / 100;
-    if (idx >= samples.size()) idx = samples.size() - 1;
-    std::nth_element(samples.begin(), samples.begin() + idx, samples.end());
-    return std::max(floor_s, options_.straggler_factor * samples[idx]);
-  };
-
   // One spec on one worker thread. Transient faults retry inside RunSpec
   // (rungs 1-2: retry, reopen); budget exhaustion retires the worker and
   // forwards the spec's unfinished pieces to the master (rung 4); fatal
@@ -1428,186 +1367,20 @@ void ParallelRunner::RunRounds() {
       }
       return;
     }
-    if (!speculate) {
-      try {
-        dbc::Connection& conn = worker_conn(worker);
-        RunSpec(conn, spec);
-      } catch (const RetryExhausted& e) {
-        if (options_.retry.allow_degradation) {
-          retire_worker(worker, e.what());
-          AbandonTask(std::move(spec));
-        } else {
-          poison();
-        }
-      } catch (...) {
-        poison();
-      }
-      return;
-    }
-
-    // Speculative path: the spec's progress lives in shared state so the
-    // watchdog can take over exactly the pieces the primary did not finish.
-    auto state = std::make_shared<SpecState>();
-    state->spec = std::move(spec);
-    state->started = run_watch_.ElapsedSeconds();
-    {
-      const std::scoped_lock lock(watch_mutex);
-      watchlist.push_back(state);
-    }
-    bool superseded = false;
     try {
       dbc::Connection& conn = worker_conn(worker);
-      conn.set_cancel_flag(state->cancel);
-      struct FlagClearer {
-        dbc::Connection& conn;
-        ~FlagClearer() { conn.set_cancel_flag(nullptr); }
-      } clearer{conn};
-      RunSpec(conn, state->spec);
-      record_sample(run_watch_.ElapsedSeconds() - state->started);
-    } catch (const TaskSupersededError&) {
-      superseded = true;
+      RunSpec(conn, spec);
     } catch (const RetryExhausted& e) {
-      bool claimed = false;
-      {
-        const std::scoped_lock lock(state->mutex);
-        claimed = state->claimed;
-        if (!claimed) state->done = true;  // watchdog must not double-run
-      }
-      state->cv.notify_all();
-      if (claimed) {
-        // The watchdog already owns the leftovers; handing over instead of
-        // abandoning keeps the spec from being run by two parties.
-        superseded = true;
-        if (options_.retry.allow_degradation) retire_worker(worker, e.what());
-      } else if (options_.retry.allow_degradation) {
+      if (options_.retry.allow_degradation) {
         retire_worker(worker, e.what());
-        AbandonTask(std::move(state->spec));
-        return;
+        AbandonTask(std::move(spec));
       } else {
         poison();
-        return;
       }
     } catch (...) {
-      {
-        const std::scoped_lock lock(state->mutex);
-        state->primary_exited = true;
-        state->done = true;  // fatal: the run is poisoned, nobody re-runs
-      }
-      state->cv.notify_all();
       poison();
-      return;
     }
-    if (superseded) {
-      // Hand over and wait: the enclosing barrier / window treats this
-      // task as complete only once its work is actually complete.
-      std::unique_lock lock(state->mutex);
-      state->primary_exited = true;
-      state->cv.notify_all();
-      state->cv.wait(lock, [&] { return state->done; });
-      return;
-    }
-    {
-      const std::scoped_lock lock(state->mutex);
-      // Finished under the watchdog's nose (every piece was already in the
-      // engine when the cancel landed): nothing is left to speculate on.
-      if (state->claimed) state->primary_exited = true;
-      state->done = true;
-    }
-    state->cv.notify_all();
   };
-
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  if (speculate) {
-    watchdog = std::thread([&] {
-      std::unique_ptr<dbc::Connection> spare;
-      while (!watchdog_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        std::shared_ptr<SpecState> victim;
-        const double now = run_watch_.ElapsedSeconds();
-        const double threshold = speculation_threshold();
-        {
-          const std::scoped_lock lock(watch_mutex);
-          watchlist.erase(
-              std::remove_if(watchlist.begin(), watchlist.end(),
-                             [](const std::shared_ptr<SpecState>& s) {
-                               const std::scoped_lock inner(s->mutex);
-                               return s->done;
-                             }),
-              watchlist.end());
-          for (const auto& s : watchlist) {
-            const std::scoped_lock inner(s->mutex);
-            if (s->claimed || s->done) continue;
-            if (now - s->started < threshold) continue;
-            s->claimed = true;
-            s->cancel->store(true, std::memory_order_release);
-            victim = s;
-            break;
-          }
-        }
-        if (victim == nullptr) continue;
-        speculative_tasks_.fetch_add(1);
-        SQLOOP_COUNT(recorder_, "straggler.speculations", 1);
-        {
-          // The primary stops at its next cancellation point (statement
-          // boundary or sliced injected sleep), so this wait is bounded.
-          std::unique_lock lock(victim->mutex);
-          victim->cv.wait(lock, [&] { return victim->primary_exited; });
-        }
-        bool nothing_left = false;
-        {
-          const std::scoped_lock lock(victim->mutex);
-          nothing_left = victim->done || (!victim->spec.do_gather &&
-                                          !victim->spec.do_compute &&
-                                          victim->spec.refresh ==
-                                              RefreshMode::kNone);
-        }
-        if (nothing_left) {
-          speculative_losses_.fetch_add(1);
-        } else {
-          bool won = false;
-          try {
-            dbc::Connection& conn = retrier_.EnsureOpen(spare, url_);
-            RunSpec(conn, victim->spec);
-            won = true;
-          } catch (const RetryExhausted&) {
-            AbandonTask(victim->spec);  // master drains it at the border
-          } catch (...) {
-            poison();
-          }
-          if (won) {
-            speculative_wins_.fetch_add(1);
-            SQLOOP_COUNT(recorder_, "straggler.wins", 1);
-          } else {
-            speculative_losses_.fetch_add(1);
-          }
-        }
-        {
-          const std::scoped_lock lock(victim->mutex);
-          victim->done = true;
-        }
-        victim->cv.notify_all();
-      }
-      if (spare != nullptr && !spare->closed()) {
-        try {
-          spare->Close();
-        } catch (...) {
-        }
-      }
-    });
-  }
-  // Joined before WorkerConnCloser runs (declared after it), while every
-  // local the watchdog captures is still alive. The loop always completes
-  // its current victim before observing the stop flag, so no primary is
-  // left waiting on a handed-over spec.
-  struct WatchdogJoiner {
-    std::atomic<bool>& stop;
-    std::thread& thread;
-    ~WatchdogJoiner() {
-      stop.store(true, std::memory_order_release);
-      if (thread.joinable()) thread.join();
-    }
-  } watchdog_joiner{watchdog_stop, watchdog};
 
   const auto throw_if_failed = [&] {
     const std::scoped_lock lock(failure_mutex_);
@@ -1803,10 +1576,6 @@ void ParallelRunner::RunRounds() {
           ++in_flight;
           ++window_dispatched;
         }
-        if (kSchedulerTrace) {
-          std::fprintf(stderr, "sqloop-sched: dispatch pt%d rank=%g\n", best,
-                       best_rank);
-        }
         const size_t k = static_cast<size_t>(best);
         pool.Submit([&run_task, k, &sched_mutex, &sched_cv, &running,
                      &in_flight](size_t worker) {
@@ -1836,14 +1605,6 @@ void ParallelRunner::RunRounds() {
       for (size_t k = 0; k < partitions_; ++k) {
         double rank;
         if (!PartitionEligible(k, &rank)) ++stats_.skipped_tasks;
-      }
-      if (kSchedulerTrace) {
-        std::fprintf(stderr,
-                     "sqloop-sched: window %lld dispatched=%zu updates=%llu "
-                     "starved=%d\n",
-                     static_cast<long long>(round), window_dispatched,
-                     static_cast<unsigned long long>(round_updates_.load()),
-                     static_cast<int>(starved));
       }
       if (starved && round_updates_.load() == 0) {
         // Nothing can make progress anymore: quiesced. Check Tc once and

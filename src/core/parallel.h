@@ -290,11 +290,8 @@ class ParallelRunner {
   uint64_t degraded_rounds_ = 0;   // master-thread only
   bool round_degraded_ = false;    // master-thread only, reset per round
   // Tasks bounced off a retired worker onto a surviving one (first bounce
-  // per task), and straggler-speculation outcomes (tasks == wins + losses).
+  // per task).
   std::atomic<uint64_t> rebalanced_{0};
-  std::atomic<uint64_t> speculative_tasks_{0};
-  std::atomic<uint64_t> speculative_wins_{0};
-  std::atomic<uint64_t> speculative_losses_{0};
 
   // Checkpoint / recovery state (set up in Run before any DDL).
   std::unique_ptr<CheckpointManager> ckpt_;

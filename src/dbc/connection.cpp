@@ -91,13 +91,6 @@ void Connection::DropNow() {
   db_->OnConnectionClosed();
 }
 
-void Connection::ThrowIfSuperseded() const {
-  if (cancel_ && cancel_->load(std::memory_order_acquire)) {
-    throw TaskSupersededError(
-        "a speculative copy of this task took ownership");
-  }
-}
-
 void Connection::ThrowIfCancelled() const {
   if (token_ != nullptr) token_->ThrowIfRequested();
 }
@@ -115,13 +108,11 @@ void Connection::InterruptibleSleep(int64_t delay_us) const {
   // within a millisecond instead of serving out the whole delay.
   constexpr int64_t kSliceUs = 1000;
   while (delay_us > 0) {
-    ThrowIfSuperseded();
     ThrowIfCancelled();
     const int64_t slice = std::min(delay_us, kSliceUs);
     std::this_thread::sleep_for(std::chrono::microseconds(slice));
     delay_us -= slice;
   }
-  ThrowIfSuperseded();
   ThrowIfCancelled();
 }
 
@@ -175,17 +166,14 @@ void Connection::EnsureTransactionIfNeeded() {
 
 ResultSet Connection::Execute(std::string_view sql) {
   EnsureOpen();
-  ThrowIfSuperseded();
   ThrowIfCancelled();
   // Faults fire before the engine sees the statement (see fault.h): a
   // failure here is client-visible but leaves server state untouched, so
   // the caller may safely retry.
   MaybeInjectFault();
-  // Last cancellation point for the straggler flag: past here the
-  // statement reaches the engine and always completes, keeping the task's
-  // piece progress exact. The governance token has no such exactly-once
-  // contract — it keeps preempting inside the engine.
-  ThrowIfSuperseded();
+  // A cancel that landed during an injected stall stops the statement
+  // before it reaches the engine; past here the token keeps preempting
+  // inside the engine.
   ThrowIfCancelled();
   PayRoundTrip();
   ++stats_.statements;
@@ -218,7 +206,6 @@ void Connection::AddBatch(std::string sql) {
 
 std::vector<size_t> Connection::ExecuteBatch() {
   EnsureOpen();
-  ThrowIfSuperseded();
   ThrowIfCancelled();
   // One injection decision for the whole batch: it ships as a single
   // submission, so a fault strikes before ANY queued statement executes.
@@ -226,7 +213,6 @@ std::vector<size_t> Connection::ExecuteBatch() {
   MaybeInjectFault();
   // Cancellation must not strike between a batch's statements (the whole
   // batch is the retry unit), so this is its only post-injection check.
-  ThrowIfSuperseded();
   ThrowIfCancelled();
   PayRoundTrip();  // the whole batch ships in one round trip
   SQLOOP_COUNT(recorder_, "dbc.batches", 1);

@@ -3,7 +3,6 @@
 // control, and isolation levels.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -138,16 +137,6 @@ class Connection {
     return fault_;
   }
 
-  /// Cooperative cancellation for straggler speculation: once the shared
-  /// flag flips to true, the next statement (or batch) this connection
-  /// would submit fails with TaskSupersededError *before* it reaches the
-  /// engine, and an in-progress injected slow sleep is cut short the same
-  /// way. A statement already inside the engine always completes, so a
-  /// cancelled task's finished pieces remain exactly-once. Null disables.
-  void set_cancel_flag(std::shared_ptr<std::atomic<bool>> flag) noexcept {
-    cancel_ = std::move(flag);
-  }
-
   /// Deadline for a single statement (or batch); 0 disables. Enforced at
   /// two points: the injection point (an injected slow statement whose
   /// delay would blow the deadline sleeps only up to the deadline, then
@@ -165,9 +154,9 @@ class Connection {
   }
 
   // --- resource governance ----------------------------------------------
-  /// Cancellation token observed before each statement AND mid-statement
-  /// by the engine's governor (unlike the straggler cancel flag, which is
-  /// strictly pre-engine — see set_cancel_flag). Null detaches.
+  /// Cancellation token observed before each statement, during an
+  /// injected slow sleep, AND mid-statement by the engine's governor.
+  /// Null detaches.
   void set_cancel_token(const CancelToken* token) noexcept {
     token_ = token;
     executor_.set_cancel_token(token);
@@ -221,8 +210,6 @@ class Connection {
   /// Marks the connection dropped, as a mid-statement network failure
   /// would: open transaction rolled back server-side, handle unusable.
   void DropNow();
-  /// Throws TaskSupersededError iff the cancel flag is set.
-  void ThrowIfSuperseded() const;
   /// Throws the token's error iff cancellation was requested (cheap
   /// pre-statement check; the engine governor covers mid-statement).
   void ThrowIfCancelled() const;
@@ -247,7 +234,6 @@ class Connection {
   int64_t row_cost_ns_;
   int64_t compile_us_;
   std::shared_ptr<FaultInjector> fault_;
-  std::shared_ptr<std::atomic<bool>> cancel_;
   int64_t statement_timeout_ms_ = 0;
   bool autocommit_ = true;
   bool in_explicit_txn_ = false;

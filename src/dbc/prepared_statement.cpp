@@ -176,10 +176,8 @@ ResultSet PreparedStatement::Execute() {
   // Same fault exposure and cancellation points as Connection::Execute: a
   // failure strikes before the engine applies anything, so the caller may
   // retry the handle.
-  conn_->ThrowIfSuperseded();
   conn_->ThrowIfCancelled();
   conn_->MaybeInjectFault();
-  conn_->ThrowIfSuperseded();
   conn_->ThrowIfCancelled();
   conn_->PayRoundTrip();
   ++conn_->stats_.statements;
@@ -220,10 +218,8 @@ std::vector<size_t> PreparedStatement::ExecuteBatch() {
   conn_->EnsureOpen();
   // Mirrors Connection::ExecuteBatch: one fault decision and one round
   // trip for the whole batch; the queue survives a pre-engine failure.
-  conn_->ThrowIfSuperseded();
   conn_->ThrowIfCancelled();
   conn_->MaybeInjectFault();
-  conn_->ThrowIfSuperseded();
   conn_->ThrowIfCancelled();
   conn_->PayRoundTrip();
   SQLOOP_COUNT(conn_->recorder_, "dbc.batches", 1);

@@ -76,13 +76,16 @@ void BufferPool::Pin(Page* page) {
     hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
+    const int64_t budget = budget_bytes();
     try {
+      // Make room first: evicting after the load would hold the victims
+      // and the incoming page at once, overshooting the budget by a page.
+      if (budget > 0) EvictUntil(budget - page->bytes);
       FaultIn(page);
     } catch (...) {
       --page->pins;  // a failed fault-in must not leak the pin
       throw;
     }
-    const int64_t budget = budget_bytes();
     if (budget > 0 && resident_bytes_ > budget) EvictUntil(budget);
   }
 }

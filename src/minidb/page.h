@@ -36,7 +36,7 @@ inline constexpr size_t kPageRowMask = kPageRowCapacity - 1;
 struct Page {
   Table* owner = nullptr;    // back-pointer for spill I/O and accounting
   size_t index = 0;          // page number within the table
-  uint32_t row_count = 0;    // slots in use (live + tombstoned payloads)
+  uint32_t row_count = 0;    // slots in use (live + emptied tombstones)
   std::vector<Row> rows;     // resident payloads; empty while spilled
 
   bool resident = true;

@@ -168,23 +168,30 @@ void Table::Delete(size_t row_id) {
   if (!live_[row_id]) return;
   Page* page = PageFor(row_id);
   const PagePin pin(this, page);
-  const Row& stored = page->rows[row_id & kPageRowMask];
+  Row& stored = page->rows[row_id & kPageRowMask];
   const int pk = schema_.primary_key_index();
   if (pk >= 0) pk_index_.erase(stored[pk]);
   IndexErase(row_id, stored);
   if (integrity_enabled_) {
     const uint64_t hash = RowHash(stored);
     content_hash_ -= hash;
-    // Only the liveness changed, not the payload, and the spill image
-    // keeps tombstoned payloads — so the page is not dirtied here.
     page->hash_sum -= hash;
   }
   live_[row_id] = 0;
   --live_rows_;
-  // The tombstoned payload stays in storage until Clear(), so only the
-  // index entries leave the accounting here.
-  Account(-kIndexEntryBytes * static_cast<int64_t>((pk >= 0 ? 1 : 0) +
-                                                   secondary_indexes_.size()));
+  // The slot stays (row ids are stable) but its payload goes: a table
+  // that churns through inserts and deletes, like a message outbox, must
+  // not pin every tombstoned row's bytes until Clear().
+  const int64_t freed = RowFootprintBytes(stored) - RowFootprintBytes(Row{});
+  Row().swap(stored);
+  page->bytes -= freed;
+  if (spill_enabled_) {
+    pool_->PageGrew(page, -freed);
+    pool_->MarkDirty(page);
+  }
+  Account(-freed -
+          kIndexEntryBytes * static_cast<int64_t>((pk >= 0 ? 1 : 0) +
+                                                  secondary_indexes_.size()));
 }
 
 void Table::Clear() {

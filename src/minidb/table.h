@@ -58,8 +58,8 @@ class Table {
   /// stays inside the pool budget.
   bool spill_enabled() const noexcept { return spill_enabled_; }
 
-  /// Estimated bytes this table currently holds resident (rows incl.
-  /// tombstoned payloads on resident pages, primary-key and
+  /// Estimated bytes this table currently holds resident (live rows and
+  /// the empty slots of deleted ones on resident pages, primary-key and
   /// secondary-index entries). Spilled pages leave this figure — that is
   /// exactly how quota pressure is relieved by eviction.
   int64_t tracked_bytes() const noexcept {
@@ -94,6 +94,8 @@ class Table {
   /// a value already used by another live row). Keeps indexes in sync.
   void Update(size_t row_id, Row row);
 
+  /// Tombstones the row and frees its payload; the empty slot keeps the
+  /// row ids of later rows stable.
   void Delete(size_t row_id);
   void Clear();
 

@@ -23,7 +23,6 @@ TEST(ErrorTaxonomy, EverySubclassCarriesItsPrefix) {
   EXPECT_STREQ(JobKilledError("x").what(), "job killed: x");
   EXPECT_STREQ(JobCancelledError("x").what(), "job cancelled: x");
   EXPECT_STREQ(QuotaExceededError("x").what(), "quota exceeded: x");
-  EXPECT_STREQ(TaskSupersededError("x").what(), "task superseded: x");
   EXPECT_STREQ(IntegrityError("x").what(), "integrity violation: x");
   EXPECT_STREQ(CrashPointError("x").what(), "crash point: x");
 }
@@ -60,7 +59,6 @@ TEST(ErrorTaxonomy, EverySubclassIsCatchableAsError) {
   ExpectCatchableAsError(JobKilledError("x"));
   ExpectCatchableAsError(JobCancelledError("x"));
   ExpectCatchableAsError(QuotaExceededError("x"));
-  ExpectCatchableAsError(TaskSupersededError("x"));
   ExpectCatchableAsError(IntegrityError("x"));
   ExpectCatchableAsError(CrashPointError("x"));
 }
@@ -94,7 +92,6 @@ TEST(ErrorTaxonomy, IsTransientErrorClassifiesEverySubclass) {
   EXPECT_FALSE(IsTransientError(JobKilledError("x")));
   EXPECT_FALSE(IsTransientError(JobCancelledError("x")));
   EXPECT_FALSE(IsTransientError(QuotaExceededError("x")));
-  EXPECT_FALSE(IsTransientError(TaskSupersededError("x")));
   // Durability errors are deliberately fatal: an integrity violation means
   // the data is wrong — re-reading it cannot make it right — and a crash
   // point must "kill the process", not be absorbed by a retry loop.

@@ -3,9 +3,8 @@
 // checkpoint and finish bit-identical to an uninterrupted run, in every
 // execution mode. Corrupt checkpoints (torn manifest, flipped dump byte)
 // must be skipped — falling back to the previous checkpoint and ultimately
-// to a fresh run — never trusted. The suite also covers the straggler
-// watchdog (speculative re-execution keeps results exact) and the
-// rebalancing of tasks stranded on retired workers.
+// to a fresh run — never trusted. The suite also covers the rebalancing
+// of tasks stranded on retired workers.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -376,84 +375,6 @@ TEST(RecoveryTest, ResumeComposesWithFaultInjectionAndRetries) {
   EXPECT_EQ(Canonical(loop.Execute(query)), clean);
   EXPECT_GT(loop.last_run().resumed_from_round, 0);
   EXPECT_GT(loop.last_run().retries, 0u);
-}
-
-TEST(RecoveryTest, StragglerSpeculationKeepsResultExact) {
-  // A seeded slow fault freezes one worker task for 400ms; the watchdog
-  // must claim it, re-execute the remaining pieces on a spare connection,
-  // and land on the exact same fixpoint. Which statement draws the slow
-  // fault depends on thread interleaving, so several trigger offsets are
-  // tried — every attempt must be correct, and at least one must fire the
-  // speculation machinery.
-  const graph::Graph g = graph::MakeEgoNetGraph(6, 12, 0.25, 5);
-  const std::string query = workloads::SsspAllQuery(1);
-  std::vector<std::string> clean;
-  {
-    CoreFixtureBase fixture("postgres");
-    fixture.LoadGraph(g);
-    SqLoop loop(fixture.Url(), BaseOptions(ExecutionMode::kSync, 2));
-    clean = Canonical(loop.Execute(query));
-  }
-
-  bool fired = false;
-  for (const int every : {60, 75, 90, 110, 50}) {
-    SCOPED_TRACE("fault_slow_every=" + std::to_string(every));
-    CoreFixtureBase fixture("postgres");
-    fixture.LoadGraph(g);
-    SqloopOptions options = BaseOptions(ExecutionMode::kSync, 2);
-    options.straggler_factor = 3.0;
-    options.straggler_min_ms = 30;
-    SqLoop loop(fixture.Url() + "&fault_seed=9&fault_slow_every=" +
-                    std::to_string(every) + "&fault_slow_us=400000&fault_max=1",
-                options);
-    EXPECT_EQ(Canonical(loop.Execute(query)), clean);
-    const RunStats& stats = loop.last_run();
-    EXPECT_EQ(stats.speculative_tasks,
-              stats.speculative_wins + stats.speculative_losses);
-    if (stats.speculative_tasks > 0) {
-      fired = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(fired) << "no trigger offset landed the slow fault on a task";
-}
-
-TEST(RecoveryTest, SpeculatedPageRankComputeKeepsSyncResultBitIdentical) {
-  // A Compute frozen by a slow fault is claimed by the watchdog and re-run
-  // on a spare connection under the same outbox seq: the retraction
-  // clears whatever the primary staged, so every batch lands once and the
-  // SUM-based Sync result matches a fault-free run bit for bit.
-  const graph::Graph g = graph::MakeWebGraph(120, 3, 7);
-  const std::string query = workloads::PageRankQuery(6);
-  std::vector<std::string> clean;
-  {
-    CoreFixtureBase fixture("postgres");
-    fixture.LoadGraph(g);
-    SqLoop loop(fixture.Url(), BaseOptions(ExecutionMode::kSync, 2));
-    clean = Canonical(loop.Execute(query));
-  }
-
-  bool fired = false;
-  for (const int every : {40, 55, 70, 85, 100}) {
-    SCOPED_TRACE("fault_slow_every=" + std::to_string(every));
-    CoreFixtureBase fixture("postgres");
-    fixture.LoadGraph(g);
-    SqloopOptions options = BaseOptions(ExecutionMode::kSync, 2);
-    options.straggler_factor = 3.0;
-    options.straggler_min_ms = 30;
-    SqLoop loop(fixture.Url() + "&fault_seed=9&fault_slow_every=" +
-                    std::to_string(every) + "&fault_slow_us=400000&fault_max=1",
-                options);
-    EXPECT_EQ(Canonical(loop.Execute(query)), clean);
-    const RunStats& stats = loop.last_run();
-    EXPECT_EQ(stats.speculative_tasks,
-              stats.speculative_wins + stats.speculative_losses);
-    if (stats.speculative_tasks > 0) {
-      fired = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(fired) << "no trigger offset landed the slow fault on a task";
 }
 
 /// Rewrites a sealed manifest into the pre-outbox layout (version 1, one

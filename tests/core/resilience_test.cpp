@@ -209,18 +209,32 @@ TEST(ResilienceTest, StatementTimeoutsAreEnforcedAndRetried) {
     SqLoop loop(fixture.Url(), options);
     clean = Canonical(loop.Execute(query));
   }
-  CoreFixtureBase fixture("postgres");
-  fixture.LoadGraph(g);
-  // Every 25th statement sleeps 50ms — far past the 1ms deadline, so the
-  // injection layer raises TimeoutError instead (capping the sleep at the
-  // deadline), and the statement is retried.
-  SqLoop loop(fixture.Url() +
-                  "&fault_seed=42&fault_slow_every=25&fault_slow_us=50000",
-              options);
-  const auto result = Canonical(loop.Execute(query));
-  EXPECT_EQ(result, clean);
-  EXPECT_GT(loop.last_run().timeouts, 0u);
-  EXPECT_GT(loop.last_run().retries, 0u);
+  // Every 25th statement stalls. Under a 1ms deadline a 50ms stall makes
+  // the injection layer raise TimeoutError instead (capping the sleep at
+  // the deadline), and the statement is retried. With no deadline a 2ms
+  // stall is simply waited out: the stalled task finishes on its own
+  // connection and the run lands on the same fixpoint.
+  struct Stall {
+    const char* faults;
+    int64_t timeout_ms;
+  };
+  for (const Stall& stall :
+       {Stall{"&fault_seed=42&fault_slow_every=25&fault_slow_us=50000", 1},
+        Stall{"&fault_seed=42&fault_slow_every=25&fault_slow_us=2000", 0}}) {
+    SCOPED_TRACE(stall.faults);
+    options.retry.statement_timeout_ms = stall.timeout_ms;
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqLoop loop(fixture.Url() + stall.faults, options);
+    EXPECT_EQ(Canonical(loop.Execute(query)), clean);
+    if (stall.timeout_ms > 0) {
+      EXPECT_GT(loop.last_run().timeouts, 0u);
+      EXPECT_GT(loop.last_run().retries, 0u);
+    } else {
+      EXPECT_EQ(loop.last_run().timeouts, 0u);
+      EXPECT_EQ(loop.last_run().retries, 0u);
+    }
+  }
 }
 
 TEST(ResilienceTest, DegradationLadderRetiresWorkersAndMasterFinishes) {

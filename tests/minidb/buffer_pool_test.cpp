@@ -271,6 +271,24 @@ TEST(BufferPool, BudgetEvictsDuringInsert) {
   EXPECT_TRUE(fx.table->VerifyContent());
 }
 
+TEST(BufferPool, FaultInMakesRoomBeforeLoading) {
+  // A budget of 1.5 pages holds one page, not two: faulting page 1 in
+  // while page 0 is resident must evict page 0 before the load, so the
+  // peak never counts both pages at once.
+  PagedFixture probe(kLooseBudget, "probe");
+  probe.InsertRows(kRowsPerPage);
+  const int64_t page_bytes = probe.pool->stats().resident_bytes;
+
+  PagedFixture fx(page_bytes + page_bytes / 2, "room");
+  fx.InsertRows(2 * kRowsPerPage);
+  fx.pool->Shrink();
+  (void)fx.table->At(0);
+  (void)fx.table->At(static_cast<size_t>(kRowsPerPage));
+  EXPECT_EQ(fx.table->resident_page_count(), 1u);
+  EXPECT_LT(fx.pool->stats().resident_peak,
+            fx.pool->budget_bytes() + page_bytes / 16);
+}
+
 TEST(BufferPool, VerifyContentLocalizesCorruptPage) {
   PagedFixture fx(kLooseBudget, "scrub");
   fx.InsertRows(3 * kRowsPerPage);
@@ -281,6 +299,68 @@ TEST(BufferPool, VerifyContentLocalizesCorruptPage) {
   int64_t bad_page = -1;
   EXPECT_FALSE(fx.table->VerifyContent(&expected, &actual, &bad_page));
   EXPECT_EQ(bad_page, 1) << "page-granular shards must localize the damage";
+}
+
+TEST(PagedTable, DeleteFreesPayloadFromPagePoolAndTracker) {
+  // A tombstone keeps its slot (row ids stay stable) but not its payload:
+  // the page's bytes, the pool's resident bytes and the memory tracker
+  // all drop by the row's footprint, and the emptied slot survives a
+  // spill/reload round trip with every live row bit-identical.
+  MemoryTracker tracker("table");
+  PagedFixture fx(kLooseBudget, "delete");
+  fx.table->set_memory_tracker(&tracker);
+  fx.InsertRows(2 * kRowsPerPage);
+  const int64_t both_pages = fx.pool->stats().resident_bytes;
+  fx.pool->Shrink();
+  ASSERT_EQ(fx.pool->stats().resident_bytes, 0);
+
+  // Fault in page 1 alone, so the pool's resident bytes are its bytes.
+  // Row 1026 carries heap-allocated text.
+  const size_t victim = static_cast<size_t>(kRowsPerPage) + 2;
+  const int64_t footprint =
+      RowFootprintBytes(fx.table->At(victim)) - RowFootprintBytes(Row{});
+  ASSERT_GT(footprint, 0);
+  const int64_t page_before = fx.pool->stats().resident_bytes;
+  const int64_t tracked_before = fx.table->tracked_bytes();
+  const int64_t reserved_before = tracker.reserved_bytes();
+  ASSERT_EQ(reserved_before, tracked_before);
+  // Spilled pages leave only index entries in the tracked figure.
+  const int64_t index_entry =
+      (tracked_before - page_before) / (2 * kRowsPerPage);
+  const uint64_t hash_before = fx.table->content_hash();
+  const uint64_t spilled_before = fx.pool->stats().bytes_spilled;
+
+  fx.table->Delete(victim);
+  EXPECT_EQ(fx.pool->stats().resident_bytes, page_before - footprint);
+  EXPECT_EQ(fx.table->tracked_bytes(),
+            tracked_before - footprint - index_entry);
+  EXPECT_EQ(tracker.reserved_bytes(), fx.table->tracked_bytes());
+  EXPECT_NE(fx.table->content_hash(), hash_before);
+
+  // The smaller page is dirty: evicting it writes a new image, and what
+  // the eviction frees is exactly the page's reduced bytes.
+  EXPECT_EQ(fx.pool->Shrink(), page_before - footprint);
+  EXPECT_GT(fx.pool->stats().bytes_spilled, spilled_before);
+  const uint64_t hash_after = fx.table->content_hash();
+  for (int64_t id = 0; id < 2 * kRowsPerPage; ++id) {
+    const auto row_id = static_cast<size_t>(id);
+    if (row_id == victim) {
+      EXPECT_FALSE(fx.table->IsLive(row_id));
+      continue;
+    }
+    const Row expected = MakeRow(id);
+    const Row& actual = fx.table->At(row_id);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_EQ(actual[c].ToString(), expected[c].ToString())
+          << "row " << id << " col " << c;
+    }
+  }
+  EXPECT_EQ(fx.table->content_hash(), hash_after);
+  EXPECT_TRUE(fx.table->VerifyContent());
+  // Both pages are back; page 1 re-enters with its reduced bytes.
+  EXPECT_EQ(fx.pool->stats().resident_bytes, both_pages - footprint);
+  EXPECT_EQ(tracker.reserved_bytes(), fx.table->tracked_bytes());
 }
 
 TEST(MemoryReclaimer, QuotaPressureEvictsBeforeError) {
