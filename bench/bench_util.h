@@ -97,11 +97,14 @@ inline int64_t PeakRssBytes() {
 }
 
 /// One registered host holding a database per engine profile, with the
-/// same dataset loaded into each.
+/// same dataset loaded into each. `select_engine` picks every database's
+/// SELECT pipeline (micro_scan builds a second, reference fleet).
 class EngineFleet {
  public:
-  explicit EngineFleet(const std::string& tag, const graph::Graph& graph,
-                       int64_t latency_us = -1, int64_t row_cost_ns = -1) {
+  explicit EngineFleet(
+      const std::string& tag, const graph::Graph& graph,
+      int64_t latency_us = -1, int64_t row_cost_ns = -1,
+      minidb::SelectEngine select_engine = minidb::SelectEngine::kBatch) {
     host_ = "bench_" + tag;
     // Defaults model the paper's testbed: a ~100us JDBC round trip and
     // ~2us of server work per row examined, overlapped across connections
@@ -116,22 +119,14 @@ class EngineFleet {
     // NO_PLAN_CACHE=1 ablates the iteration-aware plan cache fleet-wide,
     // so any benchmark can be A/B'd against the parse-per-statement world.
     const bool no_plan_cache = Knob("NO_PLAN_CACHE", 0) != 0;
-    // NO_FUSED=1 routes every SELECT through the reference materializing
-    // pipeline instead of the fused zero-copy one (same A/B idea).
-    const bool no_fused = Knob("NO_FUSED", 0) != 0;
     // NO_GOVERNANCE=1 detaches memory accounting fleet-wide, for A/B'ing
     // the per-row charge hooks (bench/micro_governance does this per arm).
     const bool no_governance = Knob("NO_GOVERNANCE", 0) != 0;
-    // NO_VECTORIZE=1 keeps fusion but drops the batched data plane, so the
-    // vectorized kernels can be ablated independently of pipeline fusion.
-    const bool no_vectorize = Knob("NO_VECTORIZE", 0) != 0;
     for (const auto& engine : Engines()) {
-      auto db = server_.CreateDatabase(engine,
-                                       minidb::EngineProfile::ByName(engine));
+      auto db = server_.CreateDatabase(
+          engine, minidb::EngineProfile::ByName(engine), select_engine);
       if (no_plan_cache) db->plan_cache().set_enabled(false);
-      if (no_fused) db->set_fused_enabled(false);
       if (no_governance) db->set_governance_enabled(false);
-      if (no_vectorize) db->set_vectorized_enabled(false);
       auto conn = dbc::DriverManager::GetConnection(Url(engine));
       graph::LoadEdges(*conn, graph);
     }
@@ -139,7 +134,7 @@ class EngineFleet {
   ~EngineFleet() { dbc::DriverManager::RegisterHost(host_, nullptr); }
 
   /// The fleet's embedded server, for benchmarks that flip per-database
-  /// engine toggles (e.g. fused on/off A/B runs) between measurements.
+  /// toggles (e.g. governance on/off A/B runs) between measurements.
   minidb::Server& server() noexcept { return server_; }
 
   /// `compile_us_override` >= 0 replaces the fleet's modeled compile cost

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   // --- 1. accounting overhead A/B ----------------------------------------
   // The inner a×b join materializes |edges|^2 rows, every one charged in
   // 32 KiB flushes through connection → database → server scopes; the
-  // fused outer COUNT streams |edges|^3 rows through the governor tick.
+  // batched outer COUNT streams |edges|^3 rows through the governor tick.
   const std::string join3 =
       "SELECT COUNT(*) FROM edges AS a, edges AS b, edges AS c";
   auto& db = *fleet.server().FindDatabase("postgres");

@@ -1,39 +1,36 @@
-// micro_scan — the fused-pipeline / vectorized-scan benchmark.
+// micro_scan — the SELECT-engine scan benchmark.
 //
-// Three measurements, each across three engine configurations —
-// vectorized (batched data plane, the default), fused (row-at-a-time
-// fused pipeline, set_vectorized_enabled(false)), and reference (the
-// materializing pipeline, set_fused_enabled(false)):
+// Three measurements, each on two fleets of the same databases — default
+// (the batch engine) and reference (SelectEngine::kReference, the
+// materializing pipeline):
 //   1. Selective scan micro: a Compute-shaped aggregate (`SELECT COUNT(*),
 //      SUM(rank) FROM scan_state WHERE delta = 1` with ~1% of rows
 //      matching) over a SCAN_ROWS-row state table, executed SCAN_REPS
-//      times. The vectorized path compiles the predicate into a kernel
-//      over 1024-row batches and bulk-feeds the aggregates; the fused
-//      path streams borrowed views row by row; the reference path copies
-//      the whole table into an intermediate Relation first. This is the
-//      statement shape of a delta-selective termination probe.
+//      times. The batch engine compiles the predicate into a kernel over
+//      1024-row batches and bulk-feeds the aggregates; the reference
+//      pipeline copies the whole table into an intermediate Relation
+//      first. This is the statement shape of a delta-selective
+//      termination probe.
 //   2. Index probe micro: the same statement after CREATE INDEX on
-//      `delta` — all paths probe the index, so the remaining gap is the
-//      per-row versus per-batch overhead on the matching rows.
+//      `delta` — both pipelines probe the index, so the remaining gap is
+//      the materialization of the matching rows.
 //   3. End to end per engine profile: PageRank in the Fig. 4
 //      single-thread setting and the Fig. 5 multicore modes (Sync,
 //      Async, AsyncPriority), plus the Fig. 6 Descendant Query in Sync
 //      mode. Results must agree within the repo's 1e-9 numeric tolerance
-//      (parallel-mode FP summation order is timing-dependent); the
+//      (the async modes' FP summation order is timing-dependent); the
 //      pipeline must never change answers.
 //
 // Latency, per-row cost, and compile cost are zeroed so real executor
 // CPU is what is being compared.
 //
 // Writes a JSON baseline (default BENCH_scan.json; --json <path> to
-// move it). Exit code is nonzero if the selective-scan vectorized/fused
-// speedup falls under 3x, the fused/reference speedup falls under 2x, or
-// any result pair diverges. ci.sh additionally gates against the floors
-// recorded in the committed baseline.
+// move it). Exit code is nonzero if the selective-scan default/reference
+// speedup falls under 6x or any result pair diverges. ci.sh additionally
+// gates against the floor recorded in the committed baseline.
 //
 // Knobs: SQLOOP_BENCH_{SCAN_ROWS,SCAN_REPS,PR_NODES,PR_DEG,PR_ITERS,
-// THREADS,PARTITIONS}; SQLOOP_BENCH_NO_VECTORIZE=1 ablates the batch
-// plane fleet-wide (the vectorized arm then re-measures the fused path).
+// THREADS,PARTITIONS,DQ_HOPS}.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -95,31 +92,18 @@ std::string Dump(const dbc::ResultSet& result) {
   return out;
 }
 
-// Engine configurations, most to least optimized.
-enum Config { kVectorized = 0, kFused = 1, kReference = 2 };
-constexpr const char* kConfigNames[] = {"vectorized", "fused", "reference"};
+// The two fleets, indexed by pipeline.
+enum Config { kDefault = 0, kReference = 1 };
 
-/// Applies one configuration to a database (and restores the default when
-/// called with kVectorized).
-void ApplyConfig(minidb::Database& db, Config config) {
-  db.set_fused_enabled(config != kReference);
-  db.set_vectorized_enabled(config == kVectorized);
+/// Reference over default seconds — the engine's speedup.
+double Speedup(const double (&seconds)[2]) {
+  return seconds[kDefault] > 0 ? seconds[kReference] / seconds[kDefault] : 0;
 }
 
 struct MicroArm {
   const char* name;
-  double seconds[3] = {0, 0, 0};  // indexed by Config
-  bool identical = true;          // three-way bit-identical dumps
-  /// Batched over row-at-a-time fused — the tentpole number.
-  double vectorized_speedup() const {
-    return seconds[kVectorized] > 0 ? seconds[kFused] / seconds[kVectorized]
-                                    : 0;
-  }
-  /// Row-at-a-time fused over materializing reference (the pre-existing
-  /// floor, kept so the fused pipeline can't regress unnoticed).
-  double fused_speedup() const {
-    return seconds[kFused] > 0 ? seconds[kReference] / seconds[kFused] : 0;
-  }
+  double seconds[2] = {0, 0};  // indexed by Config
+  bool identical = true;       // bit-identical dumps
 };
 
 struct ModeResult {
@@ -127,15 +111,8 @@ struct ModeResult {
   const char* workload;
   std::string engine;
   const char* mode;
-  double seconds[3] = {0, 0, 0};  // indexed by Config
+  double seconds[2] = {0, 0};  // indexed by Config
   bool equivalent = true;
-  double vectorized_speedup() const {
-    return seconds[kVectorized] > 0 ? seconds[kFused] / seconds[kVectorized]
-                                    : 0;
-  }
-  double fused_speedup() const {
-    return seconds[kFused] > 0 ? seconds[kReference] / seconds[kFused] : 0;
-  }
 };
 
 }  // namespace
@@ -166,17 +143,21 @@ int main(int argc, char** argv) {
   // Zero latency / zero row cost / zero compile: executor CPU is the
   // variable here, not the modeled server round trips.
   const auto graph = graph::MakeWebGraph(nodes, static_cast<int>(deg), 7);
-  bench::EngineFleet fleet("scan", graph, /*latency_us=*/0,
-                           /*row_cost_ns=*/0);
+  const bench::EngineFleet fleets[2] = {
+      bench::EngineFleet("scan", graph, /*latency_us=*/0, /*row_cost_ns=*/0),
+      bench::EngineFleet("scan_ref", graph, /*latency_us=*/0,
+                         /*row_cost_ns=*/0, minidb::SelectEngine::kReference)};
+  constexpr Config kConfigs[] = {kDefault, kReference};
 
   // --- 1 & 2: selective-scan and index-probe micros ----------------------
-  auto conn = dbc::DriverManager::GetConnection(
-      fleet.Url("postgres", /*compile_us_override=*/0));
-  auto db = fleet.server().FindDatabase("postgres");
-  conn->Execute(
-      "CREATE TABLE scan_state (id BIGINT PRIMARY KEY, "
-      "rank DOUBLE PRECISION, delta BIGINT)");
-  {
+  std::unique_ptr<dbc::Connection> conns[2];
+  for (const Config config : kConfigs) {
+    auto& conn = conns[config];
+    conn = dbc::DriverManager::GetConnection(
+        fleets[config].Url("postgres", /*compile_us_override=*/0));
+    conn->Execute(
+        "CREATE TABLE scan_state (id BIGINT PRIMARY KEY, "
+        "rank DOUBLE PRECISION, delta BIGINT)");
     auto insert = conn->Prepare("INSERT INTO scan_state VALUES (?, ?, ?)");
     for (int64_t i = 0; i < rows; ++i) {
       insert.SetInt64(1, i);
@@ -195,9 +176,9 @@ int main(int argc, char** argv) {
   const auto run_arm = [&](const char* name) {
     MicroArm arm;
     arm.name = name;
-    dbc::ResultSet results[3];
-    for (const Config config : {kVectorized, kFused, kReference}) {
-      ApplyConfig(*db, config);
+    dbc::ResultSet results[2];
+    for (const Config config : kConfigs) {
+      auto& conn = conns[config];
       conn->ExecuteQuery(probe);  // warm caches before timing
       // Best of three timed rep-loops: the speedup ratios gate CI, so
       // one descheduled trial must not masquerade as a perf regression.
@@ -212,35 +193,32 @@ int main(int argc, char** argv) {
       arm.seconds[config] = best;
       results[config] = std::move(last);
     }
-    ApplyConfig(*db, kVectorized);
-    // The selective scan is single-threaded and deterministic: all three
+    // The selective scan is single-threaded and deterministic: both
     // pipelines must agree bit for bit, not just within tolerance.
-    arm.identical = Dump(results[kVectorized]) == Dump(results[kFused]) &&
-                    Dump(results[kFused]) == Dump(results[kReference]);
+    arm.identical = Dump(results[kDefault]) == Dump(results[kReference]);
     return arm;
   };
 
   std::vector<MicroArm> arms;
   arms.push_back(run_arm("selective_scan"));
-  conn->Execute("CREATE INDEX scan_state_delta ON scan_state (delta)");
+  for (auto& conn : conns) {
+    conn->Execute("CREATE INDEX scan_state_delta ON scan_state (delta)");
+  }
   arms.push_back(run_arm("index_probe"));
-  conn->Execute("DROP TABLE scan_state");
+  for (auto& conn : conns) conn->Execute("DROP TABLE scan_state");
 
   std::cout << "scan micro (" << rows << " rows, " << reps
             << " executions):\n"
             << std::left << std::setw(16) << "arm" << std::right
-            << std::setw(12) << "vectorized" << std::setw(12) << "fused"
-            << std::setw(12) << "reference" << std::setw(10) << "vec/fus"
-            << std::setw(10) << "fus/ref" << std::setw(11) << "identical"
+            << std::setw(12) << "default" << std::setw(12) << "reference"
+            << std::setw(10) << "speedup" << std::setw(11) << "identical"
             << "\n";
   for (const auto& arm : arms) {
     std::cout << std::left << std::setw(16) << arm.name << std::right
               << std::fixed << std::setprecision(4) << std::setw(12)
-              << arm.seconds[kVectorized] << std::setw(12)
-              << arm.seconds[kFused] << std::setw(12)
+              << arm.seconds[kDefault] << std::setw(12)
               << arm.seconds[kReference] << std::setprecision(2)
-              << std::setw(9) << arm.vectorized_speedup() << "x"
-              << std::setw(9) << arm.fused_speedup() << "x" << std::setw(11)
+              << std::setw(9) << Speedup(arm.seconds) << "x" << std::setw(11)
               << (arm.identical ? "yes" : "NO") << "\n";
   }
   for (const auto& arm : arms) {
@@ -248,17 +226,15 @@ int main(int argc, char** argv) {
         .Add("arm", arm.name)
         .Add("rows", rows)
         .Add("reps", reps)
-        .Add("vectorized_seconds", arm.seconds[kVectorized])
-        .Add("fused_seconds", arm.seconds[kFused])
+        .Add("default_seconds", arm.seconds[kDefault])
         .Add("reference_seconds", arm.seconds[kReference])
-        .Add("vectorized_speedup", arm.vectorized_speedup())
-        .Add("fused_speedup", arm.fused_speedup())
+        .Add("speedup", Speedup(arm.seconds))
         .Add("identical", arm.identical)
         .Print();
   }
   std::cout << "\n";
 
-  // --- 3: end-to-end deltas, fused on vs off -----------------------------
+  // --- 3: end-to-end, default vs reference --------------------------------
   // One row per figure setting: PageRank single-thread (fig4) and in the
   // three multicore modes (fig5), Descendant Query in Sync mode (fig6).
   struct RunSpec {
@@ -283,12 +259,10 @@ int main(int argc, char** argv) {
             << " nodes, " << threads << " threads):\n"
             << std::left << std::setw(6) << "fig" << std::setw(10)
             << "engine" << std::setw(14) << "workload/mode" << std::right
-            << std::setw(12) << "vectorized" << std::setw(12) << "fused"
-            << std::setw(12) << "reference" << std::setw(10) << "vec/fus"
-            << std::setw(10) << "fus/ref" << std::setw(12) << "equivalent"
+            << std::setw(12) << "default" << std::setw(12) << "reference"
+            << std::setw(10) << "speedup" << std::setw(12) << "equivalent"
             << "\n";
   for (const auto& engine : bench::Engines()) {
-    auto engine_db = fleet.server().FindDatabase(engine);
     for (const auto& spec : specs) {
       ModeResult row;
       row.figure = spec.figure;
@@ -298,31 +272,27 @@ int main(int argc, char** argv) {
       const std::string& query = spec.query;
       const auto options =
           bench::ModeOptions(spec.mode, threads, partitions, spec.workload);
-      dbc::ResultSet results[3];
-      for (const Config config : {kVectorized, kFused, kReference}) {
-        ApplyConfig(*engine_db, config);
+      dbc::ResultSet results[2];
+      for (const Config config : kConfigs) {
         // Best of three: end-to-end runs are short enough that scheduler
         // noise would otherwise swamp the per-mode delta.
         double best = 0;
         for (int trial = 0; trial < 3; ++trial) {
-          const auto run = bench::RunQuery(fleet.Url(engine), options, query);
+          const auto run =
+              bench::RunQuery(fleets[config].Url(engine), options, query);
           if (trial == 0 || run.seconds < best) best = run.seconds;
           results[config] = run.result;
         }
         row.seconds[config] = best;
       }
-      ApplyConfig(*engine_db, kVectorized);
-      row.equivalent = Equivalent(results[kVectorized], results[kFused]) &&
-                       Equivalent(results[kFused], results[kReference]);
+      row.equivalent = Equivalent(results[kDefault], results[kReference]);
       std::cout << std::left << std::setw(6) << row.figure << std::setw(10)
                 << row.engine << std::setw(14)
                 << (std::string(row.workload) + "/" + row.mode) << std::right
                 << std::fixed << std::setprecision(4) << std::setw(12)
-                << row.seconds[kVectorized] << std::setw(12)
-                << row.seconds[kFused] << std::setw(12)
+                << row.seconds[kDefault] << std::setw(12)
                 << row.seconds[kReference] << std::setprecision(2)
-                << std::setw(9) << row.vectorized_speedup() << "x"
-                << std::setw(9) << row.fused_speedup() << "x" << std::setw(12)
+                << std::setw(9) << Speedup(row.seconds) << "x" << std::setw(12)
                 << (row.equivalent ? "yes" : "NO") << "\n";
       mode_results.push_back(std::move(row));
     }
@@ -334,8 +304,7 @@ int main(int argc, char** argv) {
         .Add("workload", r.workload)
         .Add("engine", r.engine)
         .Add("mode", r.mode)
-        .Add("vectorized_seconds", r.seconds[kVectorized])
-        .Add("fused_seconds", r.seconds[kFused])
+        .Add("default_seconds", r.seconds[kDefault])
         .Add("reference_seconds", r.seconds[kReference])
         .Add("equivalent", r.equivalent)
         .Print();
@@ -344,17 +313,12 @@ int main(int argc, char** argv) {
   bool results_agree = true;
   for (const auto& arm : arms) results_agree &= arm.identical;
   for (const auto& row : mode_results) results_agree &= row.equivalent;
-  // The batch plane must buy >= 3x on the selective scan over the
-  // row-at-a-time fused path, which itself must keep >= 2x over the
-  // materializing reference — unless the vectorized arm was ablated away.
-  const bool ablated = Knob("NO_VECTORIZE", 0) != 0;
-  const bool vectorized_fast =
-      ablated || arms[0].vectorized_speedup() >= 3.0;
-  const bool fused_fast = arms[0].fused_speedup() >= 2.0;
-  std::cout << "\nselective-scan vectorized/fused speedup >= 3x: "
-            << (vectorized_fast ? "yes" : (ablated ? "skipped" : "NO"))
-            << "\nselective-scan fused/reference speedup >= 2x: "
-            << (fused_fast ? "yes" : "NO")
+  // The batch engine must buy >= 6x on the selective scan over the
+  // materializing reference.
+  const double scan_speedup = Speedup(arms[0].seconds);
+  const bool scan_fast = scan_speedup >= 6.0;
+  std::cout << "\nselective-scan default/reference speedup >= 6x: "
+            << (scan_fast ? "yes" : "NO")
             << "\nall results bit-identical/equivalent: "
             << (results_agree ? "yes" : "NO") << "\n";
 
@@ -364,12 +328,10 @@ int main(int argc, char** argv) {
        << ", \"arms\": [\n";
   for (size_t i = 0; i < arms.size(); ++i) {
     const MicroArm& arm = arms[i];
-    json << "    {\"arm\": \"" << arm.name << "\", \"vectorized_seconds\": "
-         << arm.seconds[kVectorized] << ", \"fused_seconds\": "
-         << arm.seconds[kFused] << ", \"reference_seconds\": "
-         << arm.seconds[kReference] << ", \"vectorized_speedup\": "
-         << arm.vectorized_speedup() << ", \"fused_speedup\": "
-         << arm.fused_speedup() << ", \"bit_identical\": "
+    json << "    {\"arm\": \"" << arm.name << "\", \"default_seconds\": "
+         << arm.seconds[kDefault] << ", \"reference_seconds\": "
+         << arm.seconds[kReference] << ", \"speedup\": "
+         << Speedup(arm.seconds) << ", \"bit_identical\": "
          << (arm.identical ? "true" : "false") << "}"
          << (i + 1 < arms.size() ? "," : "") << "\n";
   }
@@ -381,25 +343,19 @@ int main(int argc, char** argv) {
     json << "    {\"figure\": \"" << r.figure << "\", \"workload\": \""
          << r.workload << "\", \"engine\": \"" << r.engine
          << "\", \"mode\": \"" << r.mode
-         << "\", \"vectorized_seconds\": " << r.seconds[kVectorized]
-         << ", \"fused_seconds\": " << r.seconds[kFused]
+         << "\", \"default_seconds\": " << r.seconds[kDefault]
          << ", \"reference_seconds\": " << r.seconds[kReference]
-         << ", \"vectorized_speedup\": " << r.vectorized_speedup()
-         << ", \"fused_speedup\": " << r.fused_speedup()
+         << ", \"speedup\": " << Speedup(r.seconds)
          << ", \"equivalent\": " << (r.equivalent ? "true" : "false") << "}"
          << (i + 1 < mode_results.size() ? "," : "") << "\n";
   }
-  // The floors ci.sh gates future runs against (satellite of the
-  // vectorized-execution PR): a fresh micro_scan run must not fall below
-  // the committed baseline's floors.
-  json << "  ]},\n  \"selective_scan_vectorized_speedup\": "
-       << arms[0].vectorized_speedup()
-       << ",\n  \"selective_scan_fused_speedup\": " << arms[0].fused_speedup()
-       << ",\n  \"floors\": {\"vectorized_over_fused\": 3.0, "
-          "\"fused_over_reference\": 2.0}"
+  // The floor ci.sh gates future runs against: a fresh micro_scan run
+  // must not fall below the committed baseline's floor.
+  json << "  ]},\n  \"selective_scan_default_speedup\": " << scan_speedup
+       << ",\n  \"floors\": {\"default_over_reference\": 6.0}"
        << ",\n  \"peak_rss_bytes\": " << bench::PeakRssBytes()
        << ",\n  \"results_agree\": " << (results_agree ? "true" : "false")
        << "\n}\n";
   std::cout << "wrote " << json_path << "\n";
-  return vectorized_fast && fused_fast && results_agree ? 0 : 1;
+  return scan_fast && results_agree ? 0 : 1;
 }

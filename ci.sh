@@ -7,7 +7,7 @@
 # build runs the full suite with the hooks compiled out: counter
 # assertions drop, every state check stays. ASan/UBSan and TSan re-run
 # the concurrency-sensitive suites (fault injection + checkpoint recovery
-# + fused/reference differential + multi-tenant isolation + resource
+# + engine/reference differential + multi-tenant isolation + resource
 # governance + durability hardening + buffer-pool storage).
 #
 #   ./ci.sh            # everything
@@ -16,33 +16,40 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Extracts a scalar number for "key" from a flat JSON baseline ("key": 1.23).
+# Prints every number stored under "key" in a flat JSON file ("key": -1.25,
+# "key": 3e-05), one per line, in file order. A missing key (or a
+# non-numeric value) fails loudly instead of reading as an empty string,
+# which awk would take for 0.
+json_numbers() {
+  local key="$1" file="$2" values
+  values="$(grep -oE "\"${key}\": *-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?" "${file}" \
+    | sed -E 's/.*: *//' || true)"
+  if [[ -z "${values}" ]]; then
+    echo "FAIL: no number recorded under \"${key}\" in ${file}" >&2
+    return 1
+  fi
+  printf '%s\n' "${values}"
+}
+
+# The first number stored under "key" (see json_numbers).
 json_number() {
-  local key="$1" file="$2"
-  grep -o "\"${key}\": *[0-9.]*" "${file}" | head -n1 | grep -o '[0-9.]*$'
+  local values
+  values="$(json_numbers "$1" "$2")" || return 1
+  printf '%s\n' "${values%%$'\n'*}"
 }
 
 # Perf regression gate: a fresh micro_scan run must not fall below the
-# floors recorded in the committed BENCH_scan.json baseline (the floors
-# are part of the baseline so tightening them is an explicit commit).
+# floor recorded in the committed BENCH_scan.json baseline (the floor is
+# part of the baseline so tightening it is an explicit commit).
 check_scan_floors() {
   local baseline="$1" fresh="$2"
   [[ -f "${baseline}" ]] || { echo "    (no committed baseline; skipping floor gate)"; return 0; }
-  local vec_floor fus_floor vec_meas fus_meas
-  vec_floor="$(json_number vectorized_over_fused "${baseline}")"
-  fus_floor="$(json_number fused_over_reference "${baseline}")"
-  vec_meas="$(json_number selective_scan_vectorized_speedup "${fresh}")"
-  fus_meas="$(json_number selective_scan_fused_speedup "${fresh}")"
-  if [[ -z "${vec_floor}" || -z "${fus_floor}" ]]; then
-    echo "    (baseline predates the vectorized floors; skipping floor gate)"
-    return 0
-  fi
-  echo "    selective-scan vectorized/fused: ${vec_meas} (floor ${vec_floor})"
-  echo "    selective-scan fused/reference:  ${fus_meas} (floor ${fus_floor})"
-  awk -v m="${vec_meas}" -v f="${vec_floor}" 'BEGIN { exit (m+0 >= f+0) ? 0 : 1 }' \
-    || { echo "FAIL: vectorized selective-scan speedup ${vec_meas} fell below floor ${vec_floor}"; return 1; }
-  awk -v m="${fus_meas}" -v f="${fus_floor}" 'BEGIN { exit (m+0 >= f+0) ? 0 : 1 }' \
-    || { echo "FAIL: fused selective-scan speedup ${fus_meas} fell below floor ${fus_floor}"; return 1; }
+  local floor measured
+  floor="$(json_number default_over_reference "${baseline}")" || return 1
+  measured="$(json_number selective_scan_default_speedup "${fresh}")" || return 1
+  echo "    selective-scan default/reference: ${measured} (floor ${floor})"
+  awk -v m="${measured}" -v f="${floor}" 'BEGIN { exit (m+0 >= f+0) ? 0 : 1 }' \
+    || { echo "FAIL: selective-scan speedup ${measured} fell below floor ${floor}"; return 1; }
 }
 
 # Buffer-pool regression gate: a fresh micro_storage run must agree with
@@ -56,8 +63,8 @@ check_storage_floors() {
     || { echo "FAIL: ${fresh} did not record results_match=true"; return 1; }
   [[ -f "${baseline}" ]] || { echo "    (no committed baseline; skipping RSS gate)"; return 0; }
   local rss_base rss
-  rss_base="$(json_number peak_rss_bytes "${baseline}")"
-  rss="$(json_number peak_rss_bytes "${fresh}")"
+  rss_base="$(json_number peak_rss_bytes "${baseline}")" || return 1
+  rss="$(json_number peak_rss_bytes "${fresh}")" || return 1
   echo "    peak RSS: ${rss} bytes (baseline ${rss_base})"
   awk -v r="${rss}" -v b="${rss_base}" 'BEGIN { exit (r+0 <= b*1.5) ? 0 : 1 }' \
     || { echo "FAIL: peak RSS ${rss} exceeded 1.5x the committed ${rss_base}"; return 1; }
@@ -69,13 +76,15 @@ check_storage_floors() {
 # the JSON so a stale baseline can never pass silently).
 check_integrity_overhead() {
   local fresh="$1"
-  local overhead
-  overhead="$(json_number overhead_pct "${fresh}")"
-  echo "    checksum-maintenance overhead: ${overhead}% (bar <5%)"
+  local overheads overhead
+  overheads="$(json_numbers overhead_pct "${fresh}")" || return 1
   grep -q '"pass": true' "${fresh}" \
     || { echo "FAIL: ${fresh} did not record pass=true"; return 1; }
-  awk -v o="${overhead}" 'BEGIN { exit (o+0 < 5.0) ? 0 : 1 }' \
-    || { echo "FAIL: checksum overhead ${overhead}% breached the 5% bar"; return 1; }
+  for overhead in ${overheads}; do
+    echo "    checksum-maintenance overhead: ${overhead}% (bar <5%)"
+    awk -v o="${overhead}" 'BEGIN { exit (o+0 < 5.0) ? 0 : 1 }' \
+      || { echo "FAIL: checksum overhead ${overhead}% breached the 5% bar"; return 1; }
+  done
 }
 
 run_preset() {
@@ -91,7 +100,7 @@ run_preset() {
       ctest --preset default -L perf
       echo "==> [${preset}] end-to-end benchmark self-test (tiny scale)"
       python3 perfbench/selftest.py
-      echo "==> [${preset}] vectorized/fused-pipeline scan benchmark"
+      echo "==> [${preset}] SELECT-engine scan benchmark"
       cp -f BENCH_scan.json BENCH_scan.baseline.json 2>/dev/null || true
       ./build/bench/micro_scan --json BENCH_scan.json
       echo "==> [${preset}] scan perf floor gate"

@@ -156,7 +156,6 @@ void PrintStats(const core::RunStats& stats) {
                 << " rows_materialized=" << materialized
                 << " pushed_predicates="
                 << rec.counter("minidb.pushed_predicates")
-                << " fused_cores=" << rec.counter("minidb.fused_cores")
                 << " vectorized_cores="
                 << rec.counter("minidb.vectorized_cores")
                 << " batches=" << rec.counter("minidb.batches_produced")

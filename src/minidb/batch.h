@@ -1,15 +1,15 @@
-// The batched data plane for the vectorized SELECT pipeline: fixed-capacity
+// The batched data plane of the SELECT engine: fixed-capacity
 // row batches with a selection vector, dense typed buffers for aggregate
 // feeds, and compiled predicate kernels that shrink the selection in tight
 // per-column loops reading cells straight from the borrowed row views.
 //
-// Correctness contract (see DESIGN.md "Vectorized execution"): a kernel is
+// Correctness contract (see DESIGN.md "The SELECT engine"): a kernel is
 // only compiled for conjunct shapes that can never throw for ANY stored row
 // given the table schema — Schema::CoerceRow guarantees every stored cell is
 // schema-typed or NULL, so a numeric-column-vs-numeric-literal comparison is
 // total. Shapes that could raise a per-row type error (mixed type families,
-// complex expressions) do not compile; the caller keeps them on the scalar
-// path, which reproduces the row-at-a-time pipeline's errors exactly.
+// complex expressions) do not compile; the caller evaluates them per lane,
+// which reproduces the reference pipeline's per-row errors.
 #pragma once
 
 #include <array>
@@ -59,8 +59,12 @@ struct RowBatch {
 /// Consumes one filtered batch; mutable so downstream operators may shrink
 /// the selection further.
 using BatchSink = FunctionRef<void(RowBatch&)>;
-/// Pushes batches into a sink exactly once (the batched RowSource).
-using BatchSource = FunctionRef<void(const BatchSink&)>;
+/// Pushes batches into a sink exactly once. `sink_can_throw` says the sink
+/// evaluates throw-capable expressions per lane (projection, group keys,
+/// scalar aggregate arguments); a producer that also evaluates scalar
+/// conjuncts then hands over one lane at a time, right after that lane's
+/// own conjuncts, so the first error raised is the first failing row's.
+using BatchSource = FunctionRef<void(bool sink_can_throw, const BatchSink&)>;
 
 /// Dense typed buffers for feeding selected lanes of one column into the
 /// aggregate span reductions (reused across batches). Text payloads are

@@ -37,9 +37,11 @@ EngineProfile EngineProfile::ByName(const std::string& name) {
 }
 
 Database::Database(std::string name, EngineProfile profile,
-                   std::shared_ptr<MemoryTracker> server_tracker)
+                   std::shared_ptr<MemoryTracker> server_tracker,
+                   SelectEngine engine)
     : name_(std::move(name)),
       profile_(std::move(profile)),
+      engine_(engine),
       server_tracker_(std::move(server_tracker)),
       tracker_("db:" + name_, server_tracker_.get()),
       pool_(std::make_shared<BufferPool>(SpillDirFor())) {

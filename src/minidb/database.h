@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -19,18 +20,28 @@
 
 namespace sqloop::minidb {
 
+/// Which pipeline runs a database's SELECT cores (see DESIGN.md "The
+/// SELECT engine"). kBatch is the engine; kReference routes every core
+/// through the materializing reference pipeline — the oracle the
+/// differential tests and micro_scan compare the engine against, not a
+/// tuning knob.
+enum class SelectEngine : uint8_t { kBatch, kReference };
+
 class Database {
  public:
   /// `server_tracker`, when given, parents this database's memory scope so
   /// table storage and statement working sets roll up to the server-wide
   /// watermark accounting (Server::CreateDatabase passes its own tracker;
-  /// a standalone Database is its own accounting root).
+  /// a standalone Database is its own accounting root). `engine` is fixed
+  /// for the database's lifetime.
   explicit Database(std::string name,
                     EngineProfile profile = EngineProfile::Canonical(),
-                    std::shared_ptr<MemoryTracker> server_tracker = nullptr);
+                    std::shared_ptr<MemoryTracker> server_tracker = nullptr,
+                    SelectEngine engine = SelectEngine::kBatch);
 
   const std::string& name() const noexcept { return name_; }
   const EngineProfile& profile() const noexcept { return profile_; }
+  SelectEngine select_engine() const noexcept { return engine_; }
 
   /// The database-scope memory accountant: every table's storage charges
   /// here (see Table::set_memory_tracker), and each connection's statement
@@ -88,34 +99,6 @@ class Database {
     catalog_version_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  // --- execution pipeline toggle ---------------------------------------
-  // The fused, zero-copy SELECT pipeline is on by default; switching it
-  // off routes every statement through the reference materializing path.
-  // Exists for the differential test suite and A/B benchmarks (see
-  // DESIGN.md "Execution pipeline"), not as a tuning knob.
-
-  void set_fused_enabled(bool enabled) noexcept {
-    fused_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool fused_enabled() const noexcept {
-    return fused_enabled_.load(std::memory_order_relaxed);
-  }
-
-  // --- vectorized batch execution toggle --------------------------------
-  // The batched data plane (minidb/batch.h) sits in front of the fused
-  // row-at-a-time path and is on by default; switching it off keeps fusion
-  // but routes every core through the scalar per-row sinks. Only takes
-  // effect while fusion is enabled (the reference path never batches).
-  // Exists for the three-way differential suite and the vectorized-on/off
-  // A/B benchmark (see DESIGN.md "Vectorized execution").
-
-  void set_vectorized_enabled(bool enabled) noexcept {
-    vectorized_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool vectorized_enabled() const noexcept {
-    return vectorized_enabled_.load(std::memory_order_relaxed);
-  }
-
   // --- governance toggle -----------------------------------------------
   // Memory accounting is on by default; switching it off makes new
   // connections attach no tracker, so the engine's per-row charge hooks
@@ -155,6 +138,7 @@ class Database {
   std::string name_;
   std::atomic<int> open_connections_{0};
   EngineProfile profile_;
+  SelectEngine engine_;
   // Keep-alive for the parent scope: the server's tracker must outlive
   // this database's (declared before tracker_ so it is destroyed after).
   std::shared_ptr<MemoryTracker> server_tracker_;
@@ -167,8 +151,6 @@ class Database {
   std::unordered_map<std::string, std::shared_ptr<const sql::SelectStmt>>
       views_;
   std::atomic<uint64_t> catalog_version_{0};
-  std::atomic<bool> fused_enabled_{true};
-  std::atomic<bool> vectorized_enabled_{true};
   std::atomic<bool> governance_enabled_{true};
   std::atomic<bool> integrity_enabled_{true};
   PlanCache plan_cache_;

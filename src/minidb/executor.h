@@ -28,11 +28,9 @@
 
 namespace sqloop::minidb {
 
-// Push-pipeline callback types. Sinks and sources are lambdas passed down
-// the call stack (FunctionRef is non-owning).
-using RowSink = FunctionRef<void(const Row&)>;   // consumes borrowed rows
-using OwnedRowSink = FunctionRef<void(Row&&)>;   // may take ownership
-using RowSource = FunctionRef<void(const RowSink&)>;  // pushes rows once
+// Join emission callback: RunJoin hands each combined row to the sink,
+// which takes ownership (FunctionRef is non-owning).
+using OwnedRowSink = FunctionRef<void(Row&&)>;
 
 /// Per-connection state: an open transaction's table backups. minidb
 /// transactions give statement-level isolation with all-or-nothing
@@ -61,7 +59,7 @@ class Executor {
                             Session* session = nullptr);
 
   /// Same, additionally supplying the cached per-core access paths so the
-  /// fused pipeline skips its scan/index-probe analysis. `access` may be
+  /// batch engine skips its scan/index-probe analysis. `access` may be
   /// null (ad-hoc execution); cached paths are re-validated against the
   /// live catalog before use.
   ResultSet ExecuteWithPlan(const sql::Statement& stmt, const LockPlan& plan,
@@ -103,11 +101,10 @@ class Executor {
     size_t index_scans = 0;        // scans narrowed by an index probe
     size_t full_scans = 0;         // scans that visited every live row
     size_t pushed_predicates = 0;  // WHERE conjuncts evaluated during scans
-    size_t fused_cores = 0;        // SELECT cores run on the fused path
-    size_t batches_produced = 0;   // RowBatches emitted by batched scans
-    size_t vectorized_cores = 0;   // SELECT cores run on the batch plane
-    size_t scalar_fallbacks = 0;   // conjuncts/aggregates/projection slots
-                                   // evaluated per-lane instead of kernelized
+    size_t batches_produced = 0;   // RowBatches emitted by scans and joins
+    size_t vectorized_cores = 0;   // SELECT cores run on the batch engine
+    size_t scalar_fallbacks = 0;   // conjuncts/aggregates evaluated
+                                   // per lane instead of kernelized
   };
   const EngineCounters& last_engine_counters() const noexcept {
     return counters_;
@@ -199,9 +196,11 @@ class Executor {
   // input are visible (SQL allows ordering by either). `order_by` and
   // `sort_keys` are null for UNION arms.
   //
-  // Operator outputs (ProjectCore/AggregateCore) are always owned
-  // relations; scans and CTE bindings flow through as borrowed row views
-  // when the fused pipeline is enabled (see Relation).
+  // One engine (see DESIGN.md "The SELECT engine"): a producer pushes
+  // RowBatches of borrowed row views into ProjectCore or AggregateCore.
+  // The producers are the batched base-table scan, the join (staging its
+  // combined rows into batches), and the reference relation. Operator
+  // outputs are always owned relations.
   ResultSet EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx,
                        const std::vector<CoreAccessPath>* paths = nullptr);
   Relation EvalCore(const sql::SelectCore& core, ExecContext& ctx,
@@ -209,31 +208,26 @@ class Executor {
                     std::vector<Row>* sort_keys = nullptr,
                     const CoreAccessPath* path = nullptr);
   /// The materializing pipeline (pre-fusion behavior, kept verbatim): the
-  /// fallback for shapes the fused path declines, and the whole pipeline
-  /// when fusion is disabled. Error reporting for missing relations and
+  /// oracle the batch engine is tested against, the whole pipeline of a
+  /// SelectEngine::kReference database, and the fallback for cores the
+  /// batch engine does not cover (subqueries, CTE and view references,
+  /// FROM-less selects). Error reporting for missing relations and
   /// unresolvable columns lives here.
   Relation EvalCoreReference(const sql::SelectCore& core, ExecContext& ctx,
                              bool aggregate_mode,
                              const std::vector<sql::OrderItem>* order_by,
                              std::vector<Row>* sort_keys);
-  /// Fused path for cores whose FROM is a base table or a join tree:
-  /// predicates push into the scans, and rows stream from scan/join
-  /// straight into projection or aggregation with no intermediate
-  /// Relation. Returns false (leaving `out` untouched) for shapes it does
-  /// not cover — the caller falls back to the reference materializing
-  /// path, which also owns error reporting for missing relations.
-  bool TryFusedCore(const sql::SelectCore& core, ExecContext& ctx,
-                    bool aggregate_mode,
-                    const std::vector<sql::OrderItem>* order_by,
-                    std::vector<Row>* sort_keys, const CoreAccessPath* path,
-                    Relation* out);
-  /// Vectorized counterpart to TryFusedCore for single-base-table cores:
-  /// batched scans, compiled predicate kernels that shrink the selection
-  /// vector, and typed aggregate reductions (see minidb/batch.h). Returns
-  /// false (leaving `out` untouched) for shapes it does not cover, or when
-  /// mixing batch-wise kernels with throw-capable per-lane work could
-  /// surface a different first error than the row path — the caller falls
-  /// through to the row-at-a-time fused path.
+  /// The batch engine for cores whose FROM is a base table or a join
+  /// tree: predicates push into the scans (compiled into kernels where
+  /// their shape allows) and batches stream from scan or join straight
+  /// into projection or aggregation with no intermediate Relation.
+  /// Returns false (leaving `out` untouched) for the shapes it does not
+  /// cover — the caller falls back to EvalCoreReference.
+  bool EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
+                     bool aggregate_mode,
+                     const std::vector<sql::OrderItem>* order_by,
+                     std::vector<Row>* sort_keys, const CoreAccessPath* path,
+                     Relation* out);
   /// True for a single-table, non-aggregate core whose WHERE bounds a
   /// column to an empty literal range (`c > 5 AND c <= 5`) and whose
   /// conjuncts are all total: it returns no rows, whatever its table holds.
@@ -244,23 +238,26 @@ class Executor {
   /// it before locking, so a Gather's idle outbox arms neither scan nor
   /// lock their outboxes.
   void FindEmptyCores(const sql::SelectStmt& select, ExecContext& ctx) const;
-  bool TryVectorizedCore(const sql::SelectCore& core, ExecContext& ctx,
-                         bool aggregate_mode,
-                         const std::vector<sql::OrderItem>* order_by,
-                         std::vector<Row>* sort_keys,
-                         const CoreAccessPath* path, Relation* out);
-  /// Batched counterpart to ScanPush: identical visiting order, counters,
-  /// rows_examined accounting, and governance cadence (GovTickRows per
-  /// batch), pushing filtered RowBatches into `sink`. `kernels[i]` applies
-  /// when `compiled[i]` is set; other conjuncts are evaluated per lane,
-  /// row-major, over every visited lane — reproducing the row path's
-  /// evaluation count and first error exactly.
+  /// The batched base-table scan: visits `table`'s live rows (or, with
+  /// `probe_conjunct` >= 0, the rows an equality index probe on
+  /// `probe_column` returns, in scan order) a RowBatch at a time and
+  /// pushes the lanes passing every conjunct of `pushed` into `sink` (the
+  /// probe conjunct too, preserving SQL `=` semantics).
+  /// `kernels[i]` applies when `compiled[i]` is set; the other conjuncts
+  /// are evaluated per lane over every visited lane, so each row sees
+  /// every conjunct (classic AND). When `sink_can_throw` and a conjunct is
+  /// scalar, lanes are handed to the sink one at a time right after their
+  /// own conjuncts, so the first error is the first row's.
   void ScanBatched(const Table& table,
                    const std::vector<ColumnBinding>& columns,
                    const std::vector<const sql::Expr*>& pushed,
                    const std::vector<PredicateKernel>& kernels,
                    const std::vector<uint8_t>& compiled, int probe_conjunct,
-                   const std::string& probe_column, const BatchSink& sink);
+                   const std::string& probe_column, bool sink_can_throw,
+                   const BatchSink& sink);
+  /// Pushes `rel`'s rows into `sink` as batches of views (the reference
+  /// pipeline's producer).
+  void FeedRelation(const Relation& rel, const BatchSink& sink);
   Relation EvalTableRef(const sql::TableRef& ref, ExecContext& ctx);
   Relation EvalJoin(const sql::TableRef& join, ExecContext& ctx);
   /// Evaluates one join input. When `pending` is non-null, WHERE conjuncts
@@ -276,21 +273,12 @@ class Executor {
   /// hash, or plain nested loop, with LEFT JOIN NULL-padding.
   void RunJoin(JoinState& state, const OwnedRowSink& sink);
   Relation ScanTable(const Table& table, const std::string& alias);
-  /// Streams `table`'s live rows matching all of `pushed` into `sink`
-  /// without copying. `probe_conjunct` >= 0 selects pushed[probe_conjunct]
-  /// as an equality index probe on `probe_column` (visiting only matching
-  /// rows, in scan order); the probe conjunct is still re-evaluated like
-  /// any other pushed predicate, preserving SQL `=` semantics.
-  void ScanPush(const Table& table, const std::vector<ColumnBinding>& columns,
-                const std::vector<const sql::Expr*>& pushed,
-                int probe_conjunct, const std::string& probe_column,
-                const RowSink& sink);
-  /// Borrowed-relation form of ScanPush (join inputs): the matching rows'
-  /// views, with an index probe chosen from `pushed` when available.
+  /// Relation form of ScanBatched (join inputs): the matching rows' views,
+  /// with an index probe chosen from `pushed` when available.
   Relation ScanFiltered(const Table& table, const std::string& alias,
                         const std::vector<const sql::Expr*>& pushed);
   /// Per-core access analysis shared by BuildAccessPlan (bind time) and
-  /// the fused path (runtime, when no cached path applies).
+  /// the batch engine (runtime, when no cached path applies).
   CoreAccessPath AnalyzeCore(const sql::SelectCore& core,
                              const std::unordered_set<std::string>& ctes)
       const;
@@ -301,12 +289,15 @@ class Executor {
                               std::vector<ColumnBinding>& out) const;
   Relation ProjectCore(const sql::SelectCore& core,
                        const std::vector<ColumnBinding>& input_columns,
-                       const RowSource& input,
+                       const BatchSource& input,
                        const std::vector<sql::OrderItem>* order_by,
                        std::vector<Row>* sort_keys);
+  /// `schema`, when non-null, is the storage schema `input_columns` follow
+  /// one for one (a single base-table scan). Without GROUP BY its column
+  /// types let plain-column aggregates reduce span-wise per batch.
   Relation AggregateCore(const sql::SelectCore& core,
                          const std::vector<ColumnBinding>& input_columns,
-                         const RowSource& input,
+                         const Schema* schema, const BatchSource& input,
                          const std::vector<sql::OrderItem>* order_by,
                          std::vector<Row>* sort_keys);
 
@@ -341,7 +332,7 @@ class Executor {
   }
   /// Batched form of GovTick: one countdown update covers `rows` rows, so
   /// the governor still syncs every `cancel_check_rows` rows — i.e. every
-  /// ⌈cancel_check_rows / batch_size⌉ batches on the vectorized path.
+  /// ⌈cancel_check_rows / batch_size⌉ batches in the batch engine.
   void GovTickRows(int64_t rows) {
     gov_countdown_ -= rows;
     if (gov_countdown_ <= 0) GovSync();
@@ -386,11 +377,13 @@ class Executor {
   // execution); set by ExecuteWithPlan, read by the SELECT pipeline.
   const AccessPlan* access_ = nullptr;
   // Scratch buffer for index probes, reused across probes and statements
-  // so the steady-state fused path allocates nothing per probe.
+  // so the steady-state batch engine allocates nothing per probe.
   std::vector<size_t> probe_ids_;
   // Batch-pipeline scratch (lanes, aggregate-feed buffers, per-lane
   // fallback bytemap), reused across batches and statements so the
-  // steady-state vectorized path allocates nothing per batch.
+  // steady-state batch engine allocates nothing per batch. Only one
+  // producer fills batch_ at a time: a join's inputs are scanned before
+  // it emits, and the reference relation is built before it is fed.
   RowBatch batch_;
   ColumnVector gather_;
   std::vector<uint8_t> lane_pass_;

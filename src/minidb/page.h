@@ -81,7 +81,7 @@ void DeserializePage(const char* data, size_t length, Page* page,
 /// (a nested statement or dump installs its own and restores the previous
 /// on destruction).
 ///
-/// Windows (Mark/ReleaseTo) let provably non-retaining scans — fused
+/// Windows (Mark/ReleaseTo) let provably non-retaining scans — batched
 /// aggregation, projection that copies values out, DML loops — drop their
 /// pins batch-by-batch, which is what keeps a full-table pass over a
 /// spilled table inside the pool budget.

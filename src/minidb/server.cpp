@@ -13,13 +13,15 @@ Server& Server::Default() {
 }
 
 std::shared_ptr<Database> Server::CreateDatabase(const std::string& name,
-                                                 EngineProfile profile) {
+                                                 EngineProfile profile,
+                                                 SelectEngine engine) {
   const std::string folded = FoldIdentifier(name);
   const std::scoped_lock lock(mutex_);
   if (databases_.contains(folded)) {
     throw UsageError("database '" + name + "' already exists");
   }
-  auto db = std::make_shared<Database>(folded, std::move(profile), tracker_);
+  auto db = std::make_shared<Database>(folded, std::move(profile), tracker_,
+                                       engine);
   databases_.emplace(folded, db);
   return db;
 }

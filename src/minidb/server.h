@@ -27,8 +27,9 @@ class Server {
 
   /// Creates a database with the given engine profile. Throws if the name
   /// is taken.
-  std::shared_ptr<Database> CreateDatabase(const std::string& name,
-                                           EngineProfile profile);
+  std::shared_ptr<Database> CreateDatabase(
+      const std::string& name, EngineProfile profile,
+      SelectEngine engine = SelectEngine::kBatch);
 
   /// Returns the database or nullptr.
   std::shared_ptr<Database> FindDatabase(const std::string& name) const;

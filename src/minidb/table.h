@@ -112,9 +112,9 @@ class Table {
   /// Appends the live row ids whose `column` equals `key` (primary key or
   /// secondary index) to `out`, sorted ascending — i.e. in insertion/scan
   /// order. Allocation-free when the caller reuses `out`'s capacity across
-  /// probes; the fused scan path does, and relies on the ordering so an
+  /// probes; the batched scan does, and relies on the ordering so an
   /// index scan visits rows in the same order a full scan would (keeps
-  /// fused results bit-identical to the materializing path).
+  /// batch-engine results bit-identical to the materializing path).
   /// Precondition: HasIndexOn(column).
   void IndexProbe(const std::string& column_name, const Value& key,
                   std::vector<size_t>& out) const;

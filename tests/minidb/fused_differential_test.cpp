@@ -1,14 +1,17 @@
-// Differential suite for the fused SELECT pipeline: every statement a
-// seeded generator produces must give *bit-identical* results (values and
-// row order) through the fused zero-copy pipeline and the reference
-// materializing one, under all three engine profiles. The generator
-// covers the shapes the fused path specializes — selective filters over
-// indexed and unindexed columns, inner/left/cross joins, GROUP BY with
-// every aggregate, UNION ALL, DISTINCT, LIMIT — plus NULL three-valued
-// logic in predicates and group keys.
+// Differential suite for the SELECT engine: every statement a seeded
+// generator produces must give *bit-identical* results (values and row
+// order) through the batch engine and the reference materializing
+// pipeline (a SelectEngine::kReference database holding the same rows),
+// under all three engine profiles. The generator covers the shapes the
+// batch engine specializes — selective filters over indexed and
+// unindexed columns, inner/left/cross joins, GROUP BY with every
+// aggregate, UNION ALL, DISTINCT, LIMIT — plus NULL three-valued logic in
+// predicates and group keys. A join-core case holds a LEFT JOIN with a
+// residual WHERE and GROUP BY over more than one batch of joined rows to
+// the same bar, with an unbounded and a tiny buffer pool.
 //
 // A final concurrency case runs borrowed-view scans against a live writer
-// so the thread sanitizer exercises the fused path's locking story
+// so the thread sanitizer exercises the engine's locking story
 // (`ctest -L engine` is part of the tsan preset).
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "minidb/batch.h"
 #include "minidb/database.h"
 #include "minidb/executor.h"
 
@@ -231,27 +235,21 @@ class FusedDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FusedDifferential, RandomStatementsMatchReferencePipeline) {
   Database db("diff", EngineProfile::ByName(GetParam()));
+  Database ref("diff_ref", EngineProfile::ByName(GetParam()), nullptr,
+               SelectEngine::kReference);
   Executor exec(db);
+  Executor ref_exec(ref);
   SeedTables(exec);
+  SeedTables(ref_exec);
   StatementGen gen(0x5ca1ab1e);
   for (int i = 0; i < 200; ++i) {
     const std::string sql = gen.Next();
-    // Three-way: vectorized (batched), fused row-at-a-time, reference
-    // materializing — all must agree bit for bit, including whether the
-    // statement threw.
-    db.set_fused_enabled(true);
-    db.set_vectorized_enabled(true);
+    // The batch engine and the reference pipeline must agree bit for bit,
+    // including whether the statement threw.
     const Outcome vectorized = RunOnce(exec, sql);
-    db.set_vectorized_enabled(false);
-    const Outcome fused = RunOnce(exec, sql);
-    db.set_fused_enabled(false);
-    const Outcome reference = RunOnce(exec, sql);
-    db.set_fused_enabled(true);
-    db.set_vectorized_enabled(true);
+    const Outcome reference = RunOnce(ref_exec, sql);
     ASSERT_EQ(vectorized.threw, reference.threw) << sql;
     ASSERT_EQ(vectorized.rows, reference.rows) << sql;
-    ASSERT_EQ(fused.threw, reference.threw) << sql;
-    ASSERT_EQ(fused.rows, reference.rows) << sql;
   }
 }
 
@@ -261,11 +259,88 @@ INSTANTIATE_TEST_SUITE_P(EngineProfiles, FusedDifferential,
                            return std::string(info.param);
                          });
 
+// A join core — LEFT JOIN, a WHERE with a pushed left-only conjunct and
+// two residual ones (right-only under a LEFT JOIN, and mixed), GROUP BY —
+// over more joined rows than one batch holds. It must run on the batch
+// engine (vectorized_cores counts it) and stay bit-identical to the
+// reference pipeline, with the pool unbounded and with a budget so small
+// that every table spills. The residual conjuncts hand rows to the
+// grouping one at a time (error order); the same core without them
+// stages joined rows in multi-row batches.
+TEST(JoinCoreDifferential, LeftJoinResidualGroupByMatchesReference) {
+  const auto seed = [](Executor& exec) {
+    exec.ExecuteSql(
+        "CREATE TABLE s (id BIGINT PRIMARY KEY, rank DOUBLE PRECISION, "
+        "delta BIGINT)");
+    exec.ExecuteSql("CREATE TABLE e (src BIGINT, dst BIGINT, w DOUBLE)");
+    exec.ExecuteSql("CREATE INDEX e_dst ON e (dst)");
+    for (int i = 0; i < 1200; ++i) {
+      const std::string rank =
+          i % 13 == 0 ? "NULL" : std::to_string(i) + ".125";
+      exec.ExecuteSql("INSERT INTO s VALUES (" + std::to_string(i) + ", " +
+                      rank + ", " + std::to_string(i % 7) + ")");
+    }
+    for (int i = 0; i < 3000; ++i) {
+      const std::string w = i % 11 == 0 ? "NULL" : std::to_string(i) + ".25";
+      exec.ExecuteSql("INSERT INTO e VALUES (" + std::to_string(i % 97) +
+                      ", " + std::to_string((i * 7) % 1000) + ", " + w + ")");
+    }
+  };
+  const std::string select =
+      "SELECT s.delta, COUNT(*) AS n, SUM(e.w) AS wsum, MIN(s.rank) AS lo, "
+      "MAX(e.src) AS hi FROM s LEFT JOIN e ON s.id = e.dst "
+      "WHERE s.delta < 6";
+  const std::string tail = " GROUP BY s.delta ORDER BY s.delta";
+  const std::vector<std::string> statements = {
+      select +
+          " AND (e.w IS NULL OR e.w > 100.0)"
+          " AND s.rank + COALESCE(e.w, 0.0) > 50.0" +
+          tail,
+      select + tail};
+
+  Database ref("join_ref", EngineProfile::Canonical(), nullptr,
+               SelectEngine::kReference);
+  Executor ref_exec(ref);
+  seed(ref_exec);
+  std::vector<Outcome> reference;
+  for (const std::string& sql : statements) {
+    reference.push_back(RunOnce(ref_exec, sql));
+    ASSERT_FALSE(reference.back().threw) << sql;
+    ASSERT_EQ(ref_exec.last_engine_counters().vectorized_cores, 0u);
+  }
+  // The core's input really spans several batches of joined rows.
+  ASSERT_GT(ref_exec.ExecuteSql("SELECT COUNT(*) FROM s LEFT JOIN e "
+                                "ON s.id = e.dst WHERE s.delta < 6")
+                .rows[0][0]
+                .as_int(),
+            static_cast<int64_t>(RowBatch::kCapacity) * 2);
+
+  for (const int64_t pool_bytes : {int64_t{0}, int64_t{96} << 10}) {
+    SCOPED_TRACE("buffer_pool_bytes=" + std::to_string(pool_bytes));
+    Database db("join", EngineProfile::Canonical());
+    db.set_buffer_pool_bytes(pool_bytes);
+    Executor exec(db);
+    seed(exec);
+    for (size_t i = 0; i < statements.size(); ++i) {
+      const Outcome batched = RunOnce(exec, statements[i]);
+      const auto& counters = exec.last_engine_counters();
+      EXPECT_EQ(counters.vectorized_cores, 1u) << statements[i];
+      // The left scan's two batches plus several of joined rows.
+      EXPECT_GE(counters.batches_produced, 4u) << statements[i];
+      ASSERT_FALSE(batched.threw) << statements[i];
+      EXPECT_EQ(batched.rows, reference[i].rows) << statements[i];
+    }
+    if (pool_bytes > 0) {
+      EXPECT_GT(db.buffer_pool().stats().pages_evicted, 0u)
+          << "the tiny budget must actually force spills";
+    }
+  }
+}
+
 // Borrowed row views live only for the statement that holds the table's
-// shared lock; this hammers that boundary with concurrent writers while
-// another thread flips the pipeline toggle, so the tsan preset can see
-// the whole story at once.
-TEST(FusedConcurrency, BorrowedScansRaceWithWritesAndToggle) {
+// shared lock; this hammers that boundary with a concurrent writer so the
+// tsan preset can see the whole story at once.
+TEST(FusedConcurrency, BorrowedScansRaceWithWrites) {
   Database db("race", EngineProfile::ByName("postgres"));
   Executor exec(db);
   exec.ExecuteSql(
@@ -278,7 +353,7 @@ TEST(FusedConcurrency, BorrowedScansRaceWithWritesAndToggle) {
   std::atomic<bool> stop{false};
   std::atomic<int> updates{0};
   {
-    // Writer and toggler run until the readers drain their fixed budget;
+    // The writer runs until the readers drain their fixed budget;
     // destruction order (inner block first) joins readers before `stop`
     // is raised. Readers are bounded, not the writer: the readers' shared
     // locks are what starve the writer, never the reverse.
@@ -289,12 +364,6 @@ TEST(FusedConcurrency, BorrowedScansRaceWithWritesAndToggle) {
         w.ExecuteSql("UPDATE state SET rank = rank + 0.5 WHERE id = " +
                      std::to_string(i++ % 500));
         updates.fetch_add(1);
-      }
-    });
-    std::jthread toggler([&db, &stop] {
-      while (!stop.load()) {
-        db.set_fused_enabled(false);
-        db.set_fused_enabled(true);
       }
     });
     {

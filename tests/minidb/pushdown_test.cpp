@@ -11,13 +11,14 @@ namespace {
 
 class PushdownTest : public testing::DbFixture {
  protected:
-  void SetUp() override {
-    Run("CREATE TABLE msg (id BIGINT, val DOUBLE, target BIGINT)");
+  static void SeedMsg(Executor& exec) {
+    exec.ExecuteSql("CREATE TABLE msg (id BIGINT, val DOUBLE, target BIGINT)");
     for (int i = 0; i < 100; ++i) {
-      Run("INSERT INTO msg VALUES (" + std::to_string(i) + ", 1.0, " +
-          std::to_string(i % 4) + ")");
+      exec.ExecuteSql("INSERT INTO msg VALUES (" + std::to_string(i) +
+                      ", 1.0, " + std::to_string(i % 4) + ")");
     }
   }
+  void SetUp() override { SeedMsg(exec_); }
 };
 
 TEST_F(PushdownTest, FullScanExaminesAllRows) {
@@ -28,8 +29,8 @@ TEST_F(PushdownTest, FullScanExaminesAllRows) {
   EXPECT_EQ(counters.full_scans, 1u);
   EXPECT_EQ(counters.index_scans, 0u);
   EXPECT_EQ(counters.pushed_predicates, 1u);
-  EXPECT_EQ(counters.fused_cores, 1u);
-  // The fused aggregate streams scanned rows straight into the
+  EXPECT_EQ(counters.vectorized_cores, 1u);
+  // The batched aggregate streams scanned rows straight into the
   // accumulators — nothing is copied or even pinned as a view.
   EXPECT_EQ(counters.rows_materialized, 0u);
   EXPECT_EQ(counters.rows_borrowed, 0u);
@@ -123,27 +124,30 @@ TEST_F(PushdownTest, RowsExaminedCoversJoins) {
   EXPECT_EQ(result.rows[0][0].as_int(), 10);
   EXPECT_GE(result.rows_examined, 20u);  // both inputs scanned
   const auto& counters = exec_.last_engine_counters();
-  EXPECT_EQ(counters.fused_cores, 1u);
-  // A fused aggregate-over-join borrows its scan inputs and streams the
+  EXPECT_EQ(counters.vectorized_cores, 1u);
+  // A batched aggregate-over-join borrows its scan inputs and streams the
   // joined rows into the accumulators without an intermediate Relation.
   EXPECT_EQ(counters.rows_borrowed, 20u);
   EXPECT_EQ(counters.rows_materialized, 0u);
 }
 
 TEST_F(PushdownTest, ReferencePipelineMaterializesSameAnswer) {
-  const auto fused = Run("SELECT COUNT(*) FROM msg WHERE target = 2");
+  const auto batched = Run("SELECT COUNT(*) FROM msg WHERE target = 2");
   EXPECT_EQ(exec_.last_engine_counters().rows_materialized, 0u);
-  db_.set_fused_enabled(false);
-  const auto reference = Run("SELECT COUNT(*) FROM msg WHERE target = 2");
-  db_.set_fused_enabled(true);
-  const auto& counters = exec_.last_engine_counters();
-  EXPECT_EQ(counters.fused_cores, 0u);
+  Database ref_db("testdb_ref", EngineProfile::Canonical(), nullptr,
+                  SelectEngine::kReference);
+  Executor ref_exec(ref_db);
+  SeedMsg(ref_exec);
+  const auto reference =
+      ref_exec.ExecuteSql("SELECT COUNT(*) FROM msg WHERE target = 2");
+  const auto& counters = ref_exec.last_engine_counters();
+  EXPECT_EQ(counters.vectorized_cores, 0u);
   // The materializing pipeline copies the scanned table into an
   // intermediate Relation before filtering.
   EXPECT_EQ(counters.rows_materialized, 100u);
   EXPECT_EQ(counters.rows_borrowed, 0u);
-  EXPECT_EQ(fused.rows[0][0].as_int(), reference.rows[0][0].as_int());
-  EXPECT_EQ(fused.rows_examined, reference.rows_examined);
+  EXPECT_EQ(batched.rows[0][0].as_int(), reference.rows[0][0].as_int());
+  EXPECT_EQ(batched.rows_examined, reference.rows_examined);
 }
 
 }  // namespace

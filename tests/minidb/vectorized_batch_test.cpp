@@ -1,9 +1,11 @@
-// Batch-specific edge cases for the vectorized data plane: NULL-heavy
-// columns, selection vectors emptying mid-pipeline, batches straddling the
-// table tail (row counts around RowBatch::kCapacity), scalar-fallback
-// accounting, and a three-way (vectorized / fused / reference) toggle race.
-// The seeded differential generator lives in fused_differential_test.cpp;
-// this file targets the boundaries that generator is unlikely to hit.
+// Batch-specific edge cases for the batch engine: NULL-heavy columns,
+// selection vectors emptying mid-pipeline, batches straddling the table
+// tail (row counts around RowBatch::kCapacity), scalar-fallback
+// accounting, error order, and a reader/writer race. Every case compares
+// against the reference pipeline (a SelectEngine::kReference database fed
+// the same statements). The seeded differential generator lives in
+// fused_differential_test.cpp; this file targets the boundaries that
+// generator is unlikely to hit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,34 +38,38 @@ struct Outcome {
 
 class VectorizedBatchTest : public testing::DbFixture {
  protected:
-  Outcome RunConfig(const std::string& sql, int config) {
-    // 0 = vectorized, 1 = fused row-at-a-time, 2 = reference.
-    db_.set_fused_enabled(config != 2);
-    db_.set_vectorized_enabled(config == 0);
+  /// Runs `sql` on both databases (tests build identical tables through
+  /// it) and returns the batch engine's result.
+  ResultSet Run(const std::string& sql) {
+    ResultSet result = exec_.ExecuteSql(sql);
+    ref_exec_.ExecuteSql(sql);
+    return result;
+  }
+
+  static Outcome RunOn(Executor& exec, const std::string& sql) {
     Outcome outcome;
     try {
-      outcome.rows = Dump(Run(sql));
+      outcome.rows = Dump(exec.ExecuteSql(sql));
     } catch (const Error& e) {
       outcome.threw = true;
       outcome.error = e.what();
     }
-    db_.set_fused_enabled(true);
-    db_.set_vectorized_enabled(true);
     return outcome;
   }
 
   /// Asserts the statement behaves bit-identically (rows, row order, and
-  /// error text) across all three engine configurations.
-  void ExpectThreeWayIdentical(const std::string& sql) {
-    const Outcome vectorized = RunConfig(sql, 0);
-    const Outcome fused = RunConfig(sql, 1);
-    const Outcome reference = RunConfig(sql, 2);
+  /// error text) on the batch engine and the reference pipeline.
+  void ExpectTwoWayIdentical(const std::string& sql) {
+    const Outcome vectorized = RunOn(exec_, sql);
+    const Outcome reference = RunOn(ref_exec_, sql);
     ASSERT_EQ(vectorized.threw, reference.threw) << sql;
     EXPECT_EQ(vectorized.error, reference.error) << sql;
     EXPECT_EQ(vectorized.rows, reference.rows) << sql;
-    ASSERT_EQ(fused.threw, reference.threw) << sql;
-    EXPECT_EQ(fused.rows, reference.rows) << sql;
   }
+
+  Database ref_db_{"testdb_ref", EngineProfile::Canonical(), nullptr,
+                   SelectEngine::kReference};
+  Executor ref_exec_{ref_db_};
 };
 
 // --- batches straddling the table tail ---------------------------------
@@ -84,9 +90,9 @@ TEST_F(VectorizedBatchTest, TailBatchSizesProduceIdenticalResults) {
       Run("INSERT INTO " + table + " VALUES (" + std::to_string(i) + ", " +
           std::to_string(i) + ".25, " + std::to_string(i % 7) + ")");
     }
-    ExpectThreeWayIdentical("SELECT COUNT(*), SUM(rank), MIN(id), MAX(id) "
+    ExpectTwoWayIdentical("SELECT COUNT(*), SUM(rank), MIN(id), MAX(id) "
                             "FROM " + table + " WHERE delta = 3");
-    ExpectThreeWayIdentical("SELECT id, rank FROM " + table +
+    ExpectTwoWayIdentical("SELECT id, rank FROM " + table +
                             " WHERE delta < 2");
   }
 }
@@ -102,7 +108,6 @@ TEST_F(VectorizedBatchTest, BatchCountMatchesCeilOfRowsOverCapacity) {
   const auto& counters = exec_.last_engine_counters();
   EXPECT_EQ(counters.batches_produced, 2u);  // 1024 + 1
   EXPECT_EQ(counters.vectorized_cores, 1u);
-  EXPECT_EQ(counters.fused_cores, 1u);  // a vectorized core IS a fused core
   EXPECT_EQ(counters.scalar_fallbacks, 0u);
 }
 
@@ -124,15 +129,15 @@ TEST_F(VectorizedBatchTest, NullHeavyColumnsMatchAcrossPipelines) {
     Run("INSERT INTO n VALUES (" + std::to_string(i) + ", " + rank + ", " +
         delta + ", " + tag + ")");
   }
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT COUNT(*), COUNT(rank), SUM(rank), AVG(rank), MIN(delta), "
       "MAX(delta), MIN(tag), MAX(tag) FROM n");
-  ExpectThreeWayIdentical("SELECT COUNT(*) FROM n WHERE rank IS NULL");
-  ExpectThreeWayIdentical("SELECT id FROM n WHERE delta IS NOT NULL");
-  ExpectThreeWayIdentical("SELECT COUNT(*) FROM n WHERE delta = 1");
-  ExpectThreeWayIdentical("SELECT COUNT(*) FROM n WHERE tag = 't1'");
+  ExpectTwoWayIdentical("SELECT COUNT(*) FROM n WHERE rank IS NULL");
+  ExpectTwoWayIdentical("SELECT id FROM n WHERE delta IS NOT NULL");
+  ExpectTwoWayIdentical("SELECT COUNT(*) FROM n WHERE delta = 1");
+  ExpectTwoWayIdentical("SELECT COUNT(*) FROM n WHERE tag = 't1'");
   // An all-NULL aggregate input: SUM/AVG/MIN/MAX give NULL, COUNT gives 0.
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT SUM(rank), AVG(rank), MIN(rank), COUNT(rank) FROM n "
       "WHERE id >= 200 AND id < 1300");
 }
@@ -148,20 +153,19 @@ TEST_F(VectorizedBatchTest, SelectionEmptyingMidPipelineMatches) {
   }
   // `delta = NULL` is a never-match kernel: the selection empties on the
   // first kernel and the remaining conjuncts must not change the result.
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT COUNT(*), SUM(rank) FROM s WHERE delta = NULL AND id > 10");
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT id FROM s WHERE delta = NULL AND rank > 100.0");
   // A conjunct that empties the selection must NOT suppress the per-row
   // error of a scalar-fallback conjunct: classic AND evaluates every
   // conjunct for every visited row, so `rank > tag` (numeric vs text)
-  // throws on all three pipelines even though `delta = NULL` matches
-  // nothing.
-  ExpectThreeWayIdentical(
+  // throws on both pipelines even though `delta = NULL` matches nothing.
+  ExpectTwoWayIdentical(
       "SELECT COUNT(*) FROM s WHERE delta = NULL AND rank > tag");
   // Same interleaving hazard with a throwing projection downstream of a
-  // fallback conjunct (the vectorized path declines; results must agree).
-  ExpectThreeWayIdentical(
+  // fallback conjunct (the scan hands lanes over one at a time).
+  ExpectTwoWayIdentical(
       "SELECT rank + tag FROM s WHERE delta + 1 = 4");
 }
 
@@ -179,12 +183,12 @@ TEST_F(VectorizedBatchTest, ColumnVsColumnKernelOnElidedSelection) {
         ")");
   }
   // int-vs-int and mixed double-vs-int kernel arms, both elided-first.
-  ExpectThreeWayIdentical("SELECT MIN(delta) FROM cc WHERE delta < id");
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical("SELECT MIN(delta) FROM cc WHERE delta < id");
+  ExpectTwoWayIdentical(
       "SELECT COUNT(*), SUM(rank) FROM cc WHERE rank < id");
   // Same kernels after a literal conjunct already materialized the
   // selection (the non-identity loop).
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT COUNT(*) FROM cc WHERE id >= 5 AND delta < id");
 }
 
@@ -201,20 +205,20 @@ TEST_F(VectorizedBatchTest, AggregateArgumentShapesMatch) {
         std::to_string(i % 3) + "')");
   }
   // ABS(column) — the termination-probe shape `SUM(ABS(Delta))`.
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT SUM(ABS(delta)), SUM(ABS(rank)), MAX(ABS(rank)) FROM a");
   // DISTINCT stays on the scalar accumulator path.
-  ExpectThreeWayIdentical(
+  ExpectTwoWayIdentical(
       "SELECT COUNT(DISTINCT tag), COUNT(DISTINCT delta) FROM a");
   // Complex arguments feed per lane.
-  ExpectThreeWayIdentical("SELECT SUM(rank * 2.0 + id) FROM a");
-  // SUM over a text column must throw identically on every pipeline.
-  ExpectThreeWayIdentical("SELECT SUM(tag) FROM a");
+  ExpectTwoWayIdentical("SELECT SUM(rank * 2.0 + id) FROM a");
+  // SUM over a text column must throw identically on both pipelines.
+  ExpectTwoWayIdentical("SELECT SUM(tag) FROM a");
   // MIN/MAX over text are typed reductions.
-  ExpectThreeWayIdentical("SELECT MIN(tag), MAX(tag), COUNT(tag) FROM a");
+  ExpectTwoWayIdentical("SELECT MIN(tag), MAX(tag), COUNT(tag) FROM a");
 }
 
-// --- fallback accounting and the toggle --------------------------------
+// --- fallback accounting ----------------------------------------------
 
 TEST_F(VectorizedBatchTest, ScalarFallbackCountedAndCorrect) {
   Run("CREATE TABLE f (id BIGINT, v BIGINT)");
@@ -231,28 +235,41 @@ TEST_F(VectorizedBatchTest, ScalarFallbackCountedAndCorrect) {
   EXPECT_GE(counters.scalar_fallbacks, 1u);
 }
 
-TEST_F(VectorizedBatchTest, ToggleDisablesBatchingButNotFusion) {
-  Run("CREATE TABLE t (id BIGINT, v BIGINT)");
-  for (int i = 0; i < 100; ++i) {
-    Run("INSERT INTO t VALUES (" + std::to_string(i) + ", 1)");
+// --- error order ------------------------------------------------------
+
+// A scalar conjunct and throw-capable work downstream of it run lane by
+// lane: the first error raised is the first failing row's. Row a = 0
+// passes `10 / (a - 5) <> 99` and then fails in the projection, the
+// aggregate, or the join's aggregate; row a = 5 would fail the conjunct.
+TEST_F(VectorizedBatchTest, FirstFailingRowRaisesWhenConjunctAndSinkThrow) {
+  Run("CREATE TABLE eo (a BIGINT, t TEXT)");
+  for (int i = 0; i < 10; ++i) {
+    Run("INSERT INTO eo VALUES (" + std::to_string(i) + ", 'x')");
   }
-  db_.set_vectorized_enabled(false);
-  const auto result = Run("SELECT COUNT(*) FROM t WHERE v = 1");
-  db_.set_vectorized_enabled(true);
-  EXPECT_EQ(result.rows[0][0].as_int(), 100);
-  const auto& counters = exec_.last_engine_counters();
-  EXPECT_EQ(counters.vectorized_cores, 0u);
-  EXPECT_EQ(counters.batches_produced, 0u);
-  EXPECT_EQ(counters.fused_cores, 1u);  // row-at-a-time fusion still on
+  const auto error_of = [this](const std::string& sql) {
+    const Outcome outcome = RunOn(exec_, sql);
+    EXPECT_TRUE(outcome.threw) << sql;
+    return outcome.error;
+  };
+  EXPECT_NE(error_of("SELECT ABS(t) FROM eo WHERE 10 / (a - 5) <> 99")
+                .find("ABS expects a numeric argument"),
+            std::string::npos);
+  EXPECT_NE(error_of("SELECT a, SUM(t) FROM eo WHERE 10 / (a - 5) <> 99 "
+                     "GROUP BY a")
+                .find("SUM/AVG over non-numeric value"),
+            std::string::npos);
+  EXPECT_NE(error_of("SELECT SUM(x.t) FROM eo AS x JOIN eo AS y "
+                     "ON x.a = y.a WHERE 10 / (x.a + y.a - 10) <> 99")
+                .find("SUM/AVG over non-numeric value"),
+            std::string::npos);
 }
 
-// --- three-way toggle race ---------------------------------------------
+// --- reader/writer race ------------------------------------------------
 
-// Readers scan through whichever pipeline the togglers currently expose
-// while a writer mutates rank in place; every answer must be correct
-// regardless of which (vectorized / fused / reference) path served it.
-// Runs under the tsan preset via the engine label.
-TEST_F(VectorizedBatchTest, ThreeWayToggleRaceKeepsAnswersCorrect) {
+// Readers scan a multi-batch table while a writer mutates rank in place;
+// every answer must be correct. Runs under the tsan preset via the engine
+// label.
+TEST_F(VectorizedBatchTest, ReaderWriterRaceKeepsAnswersCorrect) {
   Run("CREATE TABLE race (id BIGINT PRIMARY KEY, rank DOUBLE PRECISION, "
       "delta BIGINT)");
   for (int i = 0; i < 1500; ++i) {
@@ -271,18 +288,6 @@ TEST_F(VectorizedBatchTest, ThreeWayToggleRaceKeepsAnswersCorrect) {
         updates.fetch_add(1);
       }
     });
-    std::jthread fused_toggler([this, &stop] {
-      while (!stop.load()) {
-        db_.set_fused_enabled(false);
-        db_.set_fused_enabled(true);
-      }
-    });
-    std::jthread vectorized_toggler([this, &stop] {
-      while (!stop.load()) {
-        db_.set_vectorized_enabled(false);
-        db_.set_vectorized_enabled(true);
-      }
-    });
     {
       std::vector<std::jthread> readers;
       for (int t = 0; t < 3; ++t) {
@@ -299,9 +304,7 @@ TEST_F(VectorizedBatchTest, ThreeWayToggleRaceKeepsAnswersCorrect) {
     }
     stop.store(true);
   }
-  db_.set_fused_enabled(true);
-  db_.set_vectorized_enabled(true);
-  const auto total = Run("SELECT SUM(rank) FROM race");
+  const auto total = exec_.ExecuteSql("SELECT SUM(rank) FROM race");
   EXPECT_DOUBLE_EQ(total.rows[0][0].NumericAsDouble(),
                    1500.0 + 0.5 * updates.load());
 }

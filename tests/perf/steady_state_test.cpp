@@ -111,6 +111,14 @@ TEST(SteadyStateRounds, SyncAndSingleThreadPageRankParseNothingAfterRound2) {
     EXPECT_TRUE(run.probe.CatalogStableAfterRound2());
     EXPECT_EQ(run.probe.ParsesAfterRound2(), 0u);
     ExpectRecorderAgrees(run);
+#if SQLOOP_TELEMETRY_ENABLED
+    // Every core of the Sync job — setup, the Compute join, the Gather,
+    // the final query — runs on the batch engine: a core that fell back
+    // to the reference pipeline would copy its scan into a Relation.
+    if (mode == ExecutionMode::kSync) {
+      EXPECT_EQ(run.stats.recorder->counter("minidb.rows_materialized"), 0u);
+    }
+#endif
   }
 }
 

@@ -84,7 +84,7 @@ uint64_t TenantCounter(const JobServer& server, const std::string& tenant,
   return 0;
 }
 
-/// A transient-memory-hungry single statement. The fused pipeline streams
+/// A transient-memory-hungry single statement. The batch engine streams
 /// a plain two-table cross join without materializing (legitimately ~zero
 /// transient memory), so governance tests need the three-way form: its
 /// inner a×b join materializes |edges|^2 rows, every one charged to the
@@ -268,7 +268,7 @@ TEST(GovernanceTest, CancelPreemptsAStatementInFlight) {
 }
 
 TEST(GovernanceTest, CancelLatencyStaysUnderOneRoundOnBatchedPath) {
-  // The vectorized pipeline ticks the governor once per RowBatch
+  // The batch engine ticks the governor once per RowBatch
   // (GovTickRows), so a cancel_check_rows budget is consumed in
   // batch-sized strides: the token is consulted every
   // ⌈cancel_check_rows / batch_size⌉ batches, never deferred to a round
