@@ -59,12 +59,9 @@ struct RowBatch {
 /// Consumes one filtered batch; mutable so downstream operators may shrink
 /// the selection further.
 using BatchSink = FunctionRef<void(RowBatch&)>;
-/// Pushes batches into a sink exactly once. `sink_can_throw` says the sink
-/// evaluates throw-capable expressions per lane (projection, group keys,
-/// scalar aggregate arguments); a producer that also evaluates scalar
-/// conjuncts then hands over one lane at a time, right after that lane's
-/// own conjuncts, so the first error raised is the first failing row's.
-using BatchSource = FunctionRef<void(bool sink_can_throw, const BatchSink&)>;
+/// Pushes batches into a sink exactly once. A producer finishes a batch's
+/// WHERE conjuncts before the sink sees it.
+using BatchSource = FunctionRef<void(const BatchSink&)>;
 
 /// Dense typed buffers for feeding selected lanes of one column into the
 /// aggregate span reductions (reused across batches). Text payloads are

@@ -690,7 +690,7 @@ void Executor::ScanBatched(const Table& table,
                            const std::vector<uint8_t>& compiled,
                            int probe_conjunct,
                            const std::string& probe_column,
-                           bool sink_can_throw, const BatchSink& sink) {
+                           const BatchSink& sink) {
   std::unordered_map<const sql::Expr*, int> cache;
   counters_.pushed_predicates += pushed.size();
   bool any_fallback = false;
@@ -709,27 +709,6 @@ void Executor::ScanBatched(const Table& table,
   // fallback intersection and kernel-less sinks read — those need the
   // real fill.
   const bool elide_select_fill = rewriting_kernel && !any_fallback;
-  // Error order: a lane's scalar conjuncts and the sink's throw-capable
-  // work run back to back, lane by lane, when both exist.
-  const bool per_lane = any_fallback && sink_can_throw;
-  const auto scalar_conjuncts_pass = [&](const Row& row) {
-    EvalContext ec{&columns, &row, nullptr, nullptr, &cache};
-    bool pass = true;
-    for (size_t c = 0; c < pushed.size(); ++c) {
-      if (compiled[c]) continue;
-      if (!Truthy(Evaluate(*pushed[c], ec))) pass = false;
-    }
-    return pass;
-  };
-  const auto apply_kernels = [&](RowBatch& batch) {
-    for (size_t c = 0; c < pushed.size(); ++c) {
-      if (!compiled[c]) continue;
-      // Kernels are total (no errors, no side effects), so an emptied
-      // selection can skip the remaining ones.
-      if (batch.selected == 0) break;
-      ApplyPredicateKernel(kernels[c], batch);
-    }
-  };
 
   const auto process = [&](RowBatch& batch) {
     rows_examined_ += batch.size;
@@ -740,32 +719,18 @@ void Executor::ScanBatched(const Table& table,
     } else {
       batch.SelectAll();
     }
-    if (per_lane) {
-      // Kernels first (they cannot throw), then every visited lane in
-      // order: its scalar conjuncts, and, if it passed everything, the
-      // sink on that lane alone.
-      apply_kernels(batch);
-      lane_pass_.assign(batch.size, 0);
-      for (uint32_t i = 0; i < batch.selected; ++i) {
-        lane_pass_[batch.selection[i]] = 1;
-      }
-      for (uint32_t lane = 0; lane < batch.size; ++lane) {
-        if (!scalar_conjuncts_pass(*batch.rows[lane]) || !lane_pass_[lane]) {
-          continue;
-        }
-        batch.selection[0] = lane;
-        batch.selected = 1;
-        sink(batch);
-      }
-      return;
-    }
     if (any_fallback) {
       // Scalar conjuncts run first, row-major over every visited lane (not
       // just the surviving selection): classic AND evaluates every
       // conjunct for every visited row, so each row raises its errors.
       lane_pass_.assign(batch.size, 1);
       for (uint32_t lane = 0; lane < batch.size; ++lane) {
-        if (!scalar_conjuncts_pass(*batch.rows[lane])) lane_pass_[lane] = 0;
+        const Row& row = *batch.rows[lane];
+        EvalContext ec{&columns, &row, nullptr, nullptr, &cache};
+        for (size_t c = 0; c < pushed.size(); ++c) {
+          if (compiled[c]) continue;
+          if (!Truthy(Evaluate(*pushed[c], ec))) lane_pass_[lane] = 0;
+        }
       }
       uint32_t kept = 0;
       for (uint32_t i = 0; i < batch.selected; ++i) {
@@ -775,7 +740,13 @@ void Executor::ScanBatched(const Table& table,
       }
       batch.selected = kept;
     }
-    apply_kernels(batch);
+    for (size_t c = 0; c < pushed.size(); ++c) {
+      if (!compiled[c]) continue;
+      // Kernels are total (no errors, no side effects), so an emptied
+      // selection can skip the remaining ones.
+      if (batch.selected == 0) break;
+      ApplyPredicateKernel(kernels[c], batch);
+    }
     sink(batch);
   };
 
@@ -845,7 +816,7 @@ Relation Executor::ScanFiltered(const Table& table, const std::string& alias,
     }
   };
   ScanBatched(table, rel.columns, pushed, kernels, compiled, probe,
-              probe_column, /*sink_can_throw=*/false, collect);
+              probe_column, collect);
   if (rel.borrowed) {
     counters_.rows_borrowed += rel.views.size();
   } else {
@@ -1267,7 +1238,6 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
     int input_index = -1;
   };
   std::vector<ProjectionSlot> slots;
-  bool evaluates = order_by != nullptr;  // any per-row Evaluate call
   for (size_t i = 0; i < core.items.size(); ++i) {
     const sql::SelectItem& item = core.items[i];
     if (item.expr->kind == sql::ExprKind::kStar) {
@@ -1290,7 +1260,6 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
     }
     slots.push_back({item.expr.get(), -1});
     out.columns.push_back({"", OutputName(item, i)});
-    evaluates = true;
   }
 
   // Prepare ORDER BY machinery (output-first, input-fallback resolution).
@@ -1335,7 +1304,7 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
       out.rows.push_back(std::move(projected));
     }
   };
-  input(evaluates, consume);
+  input(consume);
   return out;
 }
 
@@ -1550,7 +1519,7 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
       feed(groups[slot], row);
     }
   };
-  input(/*sink_can_throw=*/grouped || scalar_aggs > 0, consume);
+  input(consume);
   if (!grouped && groups.empty()) {
     // Aggregating an empty input still yields one group; its
     // representative is an all-NULL row.
@@ -1636,9 +1605,9 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
     std::string probe_column;
     const int probe = ResolveProbe(path, conjuncts, *table, core.from->alias,
                                    &probe_column);
-    const auto source = [&](bool sink_can_throw, const BatchSink& sink) {
+    const auto source = [&](const BatchSink& sink) {
       ScanBatched(*table, columns, conjuncts, kernels, compiled, probe,
-                  probe_column, sink_can_throw, sink);
+                  probe_column, sink);
     };
     *out = aggregate_mode ? AggregateCore(core, columns, &table->schema(),
                                           source, order_by, sort_keys)
@@ -1680,13 +1649,12 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
   // Copying (not moving) lets each slot keep its allocation across the
   // statement's batches, and a short stage stays cache-resident; staging
   // whole 1024-row batches of moved rows measured 10-20% slower on
-  // join-heavy cores. With a throw-capable sink, a residual conjunct hands
-  // over each row as soon as it passes (error order, as in ScanBatched).
+  // join-heavy cores. Every combined row ticks the governor, so a join's
+  // fan-out counts toward cancel_check_rows whether or not it survives.
   constexpr size_t kJoinStageRows = 64;
-  std::vector<Row> staged;
+  std::vector<Row> staged(kJoinStageRows);
   std::unordered_map<const sql::Expr*, int> where_cache;
-  const auto source = [&](bool sink_can_throw, const BatchSink& sink) {
-    staged.resize(sink_can_throw && !residual.empty() ? 1 : kJoinStageRows);
+  const auto source = [&](const BatchSink& sink) {
     size_t count = 0;
     const auto flush = [&] {
       batch_.Reset();
@@ -1697,6 +1665,7 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
       count = 0;
     };
     RunJoin(state, [&](Row&& row) {
+      GovTick();
       if (!residual.empty()) {
         EvalContext ec{&state.columns, &row, nullptr, nullptr, &where_cache};
         bool ok = true;
@@ -1911,7 +1880,7 @@ Relation Executor::EvalCoreReference(
     }
   }
 
-  const auto source = [&](bool, const BatchSink& sink) {
+  const auto source = [&](const BatchSink& sink) {
     FeedRelation(input, sink);
   };
   return aggregate_mode ? AggregateCore(core, input.columns, /*schema=*/nullptr,

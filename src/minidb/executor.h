@@ -245,16 +245,13 @@ class Executor {
   /// probe conjunct too, preserving SQL `=` semantics).
   /// `kernels[i]` applies when `compiled[i]` is set; the other conjuncts
   /// are evaluated per lane over every visited lane, so each row sees
-  /// every conjunct (classic AND). When `sink_can_throw` and a conjunct is
-  /// scalar, lanes are handed to the sink one at a time right after their
-  /// own conjuncts, so the first error is the first row's.
+  /// every conjunct (classic AND), before the sink sees the batch.
   void ScanBatched(const Table& table,
                    const std::vector<ColumnBinding>& columns,
                    const std::vector<const sql::Expr*>& pushed,
                    const std::vector<PredicateKernel>& kernels,
                    const std::vector<uint8_t>& compiled, int probe_conjunct,
-                   const std::string& probe_column, bool sink_can_throw,
-                   const BatchSink& sink);
+                   const std::string& probe_column, const BatchSink& sink);
   /// Pushes `rel`'s rows into `sink` as batches of views (the reference
   /// pipeline's producer).
   void FeedRelation(const Relation& rel, const BatchSink& sink);

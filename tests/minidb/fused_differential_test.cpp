@@ -264,9 +264,8 @@ INSTANTIATE_TEST_SUITE_P(EngineProfiles, FusedDifferential,
 // over more joined rows than one batch holds. It must run on the batch
 // engine (vectorized_cores counts it) and stay bit-identical to the
 // reference pipeline, with the pool unbounded and with a budget so small
-// that every table spills. The residual conjuncts hand rows to the
-// grouping one at a time (error order); the same core without them
-// stages joined rows in multi-row batches.
+// that every table spills. Both statements stage joined rows in
+// multi-row batches; the first also filters them by residual conjuncts.
 TEST(JoinCoreDifferential, LeftJoinResidualGroupByMatchesReference) {
   const auto seed = [](Executor& exec) {
     exec.ExecuteSql(

@@ -21,10 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/error.h"
 #include "core/resilience.h"
 #include "core/workloads.h"
 #include "graph/generators.h"
+#include "minidb/database.h"
+#include "minidb/executor.h"
 #include "server/job_server.h"
 #include "telemetry/hooks.h"
 #include "tests/core/core_test_util.h"
@@ -319,6 +322,32 @@ TEST(GovernanceTest, CancelLatencyStaysUnderOneRoundOnBatchedPath) {
                           "governance.mid_statement_cancels"),
             1u);
 #endif
+}
+
+TEST(GovernanceTest, JoinFanOutCountsTowardCancelCheckRows) {
+  // A hash join on a single-valued key: the scans, the build and the probe
+  // read 4 x 50 rows, but the join emits 50 x 50 = 2,500 combined rows.
+  // Every combined row ticks the governor, so with the token already
+  // cancelled the statement stops within cancel_check_rows = 500 emitted
+  // rows instead of finishing on its fan-out.
+  minidb::Database db("governance");
+  minidb::Executor exec(db);
+  exec.ExecuteSql("CREATE TABLE l (k BIGINT, v BIGINT)");
+  exec.ExecuteSql("CREATE TABLE r (k BIGINT, v BIGINT)");
+  for (int i = 0; i < 50; ++i) {
+    exec.ExecuteSql("INSERT INTO l VALUES (1, " + std::to_string(i) + ")");
+    exec.ExecuteSql("INSERT INTO r VALUES (1, " + std::to_string(i) + ")");
+  }
+  const std::string join =
+      "SELECT l.v, SUM(r.v) FROM l JOIN r ON l.k = r.k GROUP BY l.v";
+  CancelToken token;
+  exec.set_cancel_token(&token);
+  exec.set_cancel_check_rows(500);
+  EXPECT_EQ(exec.ExecuteSql(join).rows.size(), 50u);
+
+  token.Request(CancelReason::kCancelled, "cancelled mid-join");
+  EXPECT_THROW(exec.ExecuteSql(join), JobCancelledError);
+  exec.set_cancel_token(nullptr);
 }
 
 TEST(GovernanceTest, RetrierNeverRetriesCancellationOrQuota) {
