@@ -6,9 +6,10 @@
 //      cross join, whose inner join charges every intermediate row to the
 //      memory hierarchy) timed with accounting attached vs detached
 //      (Database::set_governance_enabled(false) — the same ablation the
-//      SQLOOP_BENCH_NO_GOVERNANCE fleet knob flips). Both arms take the
-//      min over GOV_ROUNDS rounds; the bar is <3% overhead, with results
-//      bit-identical across arms.
+//      SQLOOP_BENCH_NO_GOVERNANCE fleet knob flips). The arms alternate
+//      statement by statement within each of GOV_ROUNDS rounds of
+//      GOV_REPS statements, and each takes its min over the rounds; the
+//      bar is <3% overhead, with results bit-identical across arms.
 //   2. Shed-mode admission latency: a JobServer pinned over its soft
 //      memory watermark must reject new submissions in microseconds, not
 //      after queueing work it cannot run — reported as p50/p99 over
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,27 +77,43 @@ int main(int argc, char** argv) {
   const std::string join3 =
       "SELECT COUNT(*) FROM edges AS a, edges AS b, edges AS c";
   auto& db = *fleet.server().FindDatabase("postgres");
-  const auto time_arm = [&](bool governance_on) {
-    db.set_governance_enabled(governance_on);
-    // The toggle binds at connection open; each arm gets fresh ones.
-    auto conn = dbc::DriverManager::GetConnection(url);
-    int64_t checksum = 0;
-    checksum += conn->ExecuteQuery(join3).rows[0][0].as_int();  // warm-up
+  // The toggle binds at connection open, so each arm opens its connection
+  // up front. Within every round the arms then alternate statement by
+  // statement, flipping which goes first each round, so host drift lands
+  // on both arms' round totals alike.
+  struct Arm {
+    std::unique_ptr<dbc::Connection> conn;
+    double round_seconds = 0;
     double best = 0;
-    for (int64_t r = 0; r < rounds; ++r) {
-      const Stopwatch watch;
-      for (int64_t i = 0; i < reps; ++i) {
-        checksum += conn->ExecuteQuery(join3).rows[0][0].as_int();
-      }
-      const double seconds = watch.ElapsedSeconds();
-      if (r == 0 || seconds < best) best = seconds;
-    }
-    return std::pair<double, int64_t>(best, checksum);
+    int64_t checksum = 0;
   };
-  const auto [off_seconds, off_sum] = time_arm(false);
-  const auto [on_seconds, on_sum] = time_arm(true);
-  db.set_governance_enabled(true);
-  const bool bit_identical = on_sum == off_sum;
+  const auto open_arm = [&](bool governance_on) {
+    db.set_governance_enabled(governance_on);
+    Arm arm{dbc::DriverManager::GetConnection(url)};
+    arm.checksum += arm.conn->ExecuteQuery(join3).rows[0][0].as_int();  // warm
+    return arm;
+  };
+  Arm off = open_arm(false);
+  Arm on = open_arm(true);
+  for (int64_t r = 0; r < rounds; ++r) {
+    Arm* const order[2] = {r % 2 == 0 ? &off : &on, r % 2 == 0 ? &on : &off};
+    off.round_seconds = on.round_seconds = 0;
+    for (int64_t i = 0; i < reps; ++i) {
+      for (Arm* arm : order) {
+        const Stopwatch watch;
+        arm->checksum += arm->conn->ExecuteQuery(join3).rows[0][0].as_int();
+        arm->round_seconds += watch.ElapsedSeconds();
+      }
+    }
+    for (Arm* arm : order) {
+      if (r == 0 || arm->round_seconds < arm->best) {
+        arm->best = arm->round_seconds;
+      }
+    }
+  }
+  const double off_seconds = off.best;
+  const double on_seconds = on.best;
+  const bool bit_identical = on.checksum == off.checksum;
   const double overhead_pct =
       off_seconds > 0 ? (on_seconds - off_seconds) / off_seconds * 100.0 : 0;
   std::cout << "accounting A/B (" << reps << " reps, best of " << rounds

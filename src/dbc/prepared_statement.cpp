@@ -1,11 +1,9 @@
 #include "dbc/prepared_statement.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
 #include "common/stopwatch.h"
-#include "sql/parser.h"
 #include "telemetry/hooks.h"
 
 namespace sqloop::dbc {
@@ -48,20 +46,9 @@ PreparedStatement::PreparedStatement(Connection& conn, std::string sql)
 }
 
 void PreparedStatement::Recompile() {
-  SQLOOP_COUNT(conn_->recorder_, "sql.parse_count", 1);
-#if SQLOOP_TELEMETRY_ENABLED
-  const Stopwatch parse_watch;
-#endif
-  bound_ = sql::ParseStatement(sql_);
-  SQLOOP_TIME_SECONDS(conn_->recorder_, "sql.parse_seconds",
-                      parse_watch.ElapsedSeconds());
-  int max_param = -1;
-  sql::VisitStatementExprs(*bound_, [&max_param](const sql::Expr& expr) {
-    if (expr.kind == sql::ExprKind::kParameter) {
-      max_param = std::max(max_param, expr.param_index);
-    }
-  });
-  param_count_ = max_param + 1;
+  minidb::ParsedStatement parsed = minidb::ParseCounted(sql_, conn_->recorder_);
+  bound_ = std::move(parsed.ast);
+  param_count_ = parsed.param_count;
   CollectSlots();
 }
 
@@ -156,7 +143,6 @@ ResultSet PreparedStatement::Submit(const std::vector<Value>& values) {
   ResultSet result =
       plan_ != nullptr
           ? conn_->executor_.ExecuteWithPlan(*bound_, *plan_->locks,
-                                             plan_->access.get(),
                                              &conn_->session_)
           : conn_->executor_.Execute(*bound_, &conn_->session_);
   return result;

@@ -390,13 +390,12 @@ void ClassifyJoinCondition(const sql::Expr* on,
 
 /// Picks the first conjunct usable as an equality index probe against
 /// `table`: shape `col = <literal>` (either side) with a non-NULL literal —
-/// NULL never matches under SQL `=` — and an index on the column.
-/// `allow_parameters` additionally admits `col = ?` at bind time; such a
-/// probe is re-validated at execution, when the bound literal is known.
+/// NULL never matches under SQL `=` — and an index on the column. Runs at
+/// execution, when a prepared statement's `?` slots are bound literals.
 /// Returns the conjunct ordinal (or -1) and the folded column name.
 int ChooseProbe(const std::vector<const sql::Expr*>& conjuncts,
                 const Table& table, const std::string& alias,
-                bool allow_parameters, std::string* column_out) {
+                std::string* column_out) {
   const std::string folded_alias = FoldIdentifier(alias);
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     const sql::Expr* conjunct = conjuncts[i];
@@ -408,11 +407,10 @@ int ChooseProbe(const std::vector<const sql::Expr*>& conjuncts,
     const sql::Expr* literal = conjunct->right.get();
     if (column->kind != sql::ExprKind::kColumnRef) std::swap(column, literal);
     if (column->kind != sql::ExprKind::kColumnRef) continue;
-    const bool literal_ok = literal->kind == sql::ExprKind::kLiteral &&
-                            !literal->literal.is_null();
-    const bool parameter_ok =
-        allow_parameters && literal->kind == sql::ExprKind::kParameter;
-    if (!literal_ok && !parameter_ok) continue;
+    if (literal->kind != sql::ExprKind::kLiteral ||
+        literal->literal.is_null()) {
+      continue;
+    }
     if (!column->qualifier.empty() &&
         FoldIdentifier(column->qualifier) != folded_alias) {
       continue;
@@ -425,33 +423,6 @@ int ChooseProbe(const std::vector<const sql::Expr*>& conjuncts,
     return static_cast<int>(i);
   }
   return -1;
-}
-
-/// Resolves the probe for a scan. A cached access path supplies the
-/// conjunct ordinal chosen at bind time; it is re-validated against the
-/// live conjunct list and catalog (a stale ordinal — dropped index, or a
-/// `col = ?` whose bound value turned out NULL — degrades to a fresh
-/// analysis, never a wrong result).
-int ResolveProbe(const CoreAccessPath* path,
-                 const std::vector<const sql::Expr*>& conjuncts,
-                 const Table& table, const std::string& alias,
-                 std::string* column_out) {
-  if (path != nullptr && path->single_base) {
-    if (path->probe_conjunct < 0) return -1;  // bind time chose a full scan
-    const auto ordinal = static_cast<size_t>(path->probe_conjunct);
-    if (ordinal < conjuncts.size()) {
-      const std::vector<const sql::Expr*> one = {conjuncts[ordinal]};
-      std::string column;
-      if (ChooseProbe(one, table, alias, /*allow_parameters=*/false,
-                      &column) == 0 &&
-          column == path->probe_column) {
-        *column_out = column;
-        return path->probe_conjunct;
-      }
-    }
-  }
-  return ChooseProbe(conjuncts, table, alias, /*allow_parameters=*/false,
-                     column_out);
 }
 
 /// The key value of a validated probe conjunct (its literal side).
@@ -640,65 +611,42 @@ Relation Executor::ScanTable(const Table& table, const std::string& alias) {
   return rel;
 }
 
-namespace {
-
-/// True when any node of `expr` is a `?` placeholder.
-bool ContainsParameter(const sql::Expr& expr) {
-  bool found = false;
-  sql::VisitExpr(expr, [&found](const sql::Expr& node) {
-    if (node.kind == sql::ExprKind::kParameter) found = true;
-  });
-  return found;
-}
-
-/// Compiles each pushed conjunct into a total predicate kernel where the
-/// shape allows (see minidb/batch.h). A cached access path's bind-time
-/// hints skip compile attempts for conjuncts already known uncompilable
-/// (hint 0); parameter-dependent conjuncts (hint 2) and known-compilable
-/// ones (hint 1) recompile against the live bound AST. Returns the number
-/// of scalar-fallback conjuncts.
-size_t CompileScanKernels(const std::vector<const sql::Expr*>& pushed,
-                          const Schema& schema, const std::string& alias,
-                          const CoreAccessPath* path,
-                          std::vector<PredicateKernel>& kernels,
-                          std::vector<uint8_t>& compiled) {
-  kernels.assign(pushed.size(), {});
-  compiled.assign(pushed.size(), 0);
-  const bool use_hints = path != nullptr && path->batch_analyzed &&
-                         path->kernel_conjuncts.size() == pushed.size();
-  size_t fallbacks = 0;
+Executor::ScanSetup Executor::SetUpScan(
+    const Table& table, const std::string& alias,
+    const std::vector<const sql::Expr*>& pushed) {
+  ScanSetup setup;
+  const std::string folded = FoldIdentifier(alias);
+  setup.columns.reserve(table.schema().column_count());
+  for (const auto& column : table.schema().columns()) {
+    setup.columns.push_back({folded, column.name});
+  }
+  setup.kernels.assign(pushed.size(), {});
+  setup.compiled.assign(pushed.size(), 0);
   for (size_t i = 0; i < pushed.size(); ++i) {
-    if (use_hints && path->kernel_conjuncts[i] == 0) {
-      ++fallbacks;
-      continue;
-    }
-    if (CompilePredicateKernel(*pushed[i], schema, alias, &kernels[i])) {
-      compiled[i] = 1;
+    if (CompilePredicateKernel(*pushed[i], table.schema(), folded,
+                               &setup.kernels[i])) {
+      setup.compiled[i] = 1;
     } else {
-      ++fallbacks;
+      ++counters_.scalar_fallbacks;
     }
   }
-  return fallbacks;
+  setup.probe_conjunct =
+      ChooseProbe(pushed, table, alias, &setup.probe_column);
+  return setup;
 }
 
-}  // namespace
-
 void Executor::ScanBatched(const Table& table,
-                           const std::vector<ColumnBinding>& columns,
                            const std::vector<const sql::Expr*>& pushed,
-                           const std::vector<PredicateKernel>& kernels,
-                           const std::vector<uint8_t>& compiled,
-                           int probe_conjunct,
-                           const std::string& probe_column,
-                           const BatchSink& sink) {
+                           const ScanSetup& setup, const BatchSink& sink) {
   std::unordered_map<const sql::Expr*, int> cache;
   counters_.pushed_predicates += pushed.size();
   bool any_fallback = false;
   bool rewriting_kernel = false;
-  for (size_t c = 0; c < compiled.size(); ++c) {
-    if (!compiled[c]) {
+  for (size_t c = 0; c < setup.compiled.size(); ++c) {
+    if (!setup.compiled[c]) {
       any_fallback = true;
-    } else if (kernels[c].kind != PredicateKernel::Kind::kAlwaysMatch) {
+    } else if (setup.kernels[c].kind !=
+               PredicateKernel::Kind::kAlwaysMatch) {
       rewriting_kernel = true;
     }
   }
@@ -726,9 +674,9 @@ void Executor::ScanBatched(const Table& table,
       lane_pass_.assign(batch.size, 1);
       for (uint32_t lane = 0; lane < batch.size; ++lane) {
         const Row& row = *batch.rows[lane];
-        EvalContext ec{&columns, &row, nullptr, nullptr, &cache};
+        EvalContext ec{&setup.columns, &row, nullptr, nullptr, &cache};
         for (size_t c = 0; c < pushed.size(); ++c) {
-          if (compiled[c]) continue;
+          if (setup.compiled[c]) continue;
           if (!Truthy(Evaluate(*pushed[c], ec))) lane_pass_[lane] = 0;
         }
       }
@@ -741,11 +689,11 @@ void Executor::ScanBatched(const Table& table,
       batch.selected = kept;
     }
     for (size_t c = 0; c < pushed.size(); ++c) {
-      if (!compiled[c]) continue;
+      if (!setup.compiled[c]) continue;
       // Kernels are total (no errors, no side effects), so an emptied
       // selection can skip the remaining ones.
       if (batch.selected == 0) break;
-      ApplyPredicateKernel(kernels[c], batch);
+      ApplyPredicateKernel(setup.kernels[c], batch);
     }
     sink(batch);
   };
@@ -755,11 +703,11 @@ void Executor::ScanBatched(const Table& table,
   // the window lets those pages evict again. Sinks that retain views only
   // exist on non-spill tables, where the window releases nothing.
   PinScope::Window window;
-  if (probe_conjunct >= 0) {
+  if (setup.probe_conjunct >= 0) {
     ++counters_.index_scans;
     probe_ids_.clear();
-    table.IndexProbe(probe_column, ProbeKey(*pushed[probe_conjunct]),
-                     probe_ids_);
+    table.IndexProbe(setup.probe_column,
+                     ProbeKey(*pushed[setup.probe_conjunct]), probe_ids_);
     for (size_t start = 0; start < probe_ids_.size();
          start += RowBatch::kCapacity) {
       const size_t lanes = std::min<size_t>(RowBatch::kCapacity,
@@ -786,25 +734,14 @@ void Executor::ScanBatched(const Table& table,
 
 Relation Executor::ScanFiltered(const Table& table, const std::string& alias,
                                 const std::vector<const sql::Expr*>& pushed) {
+  ScanSetup setup = SetUpScan(table, alias, pushed);
   Relation rel;
-  const std::string folded = FoldIdentifier(alias);
-  rel.columns.reserve(table.schema().column_count());
-  for (const auto& column : table.schema().columns()) {
-    rel.columns.push_back({folded, column.name});
-  }
-  std::string probe_column;
-  const int probe = ChooseProbe(pushed, table, alias,
-                                /*allow_parameters=*/false, &probe_column);
   // Spill-enabled tables get owned copies of the surviving rows instead of
   // borrowed views: the scan windows then release each page as it passes,
   // so the pool budget holds. Same rows in the same order either way.
   rel.borrowed = !table.spill_enabled();
   // Kernels filter whole batches; the surviving lanes land in the view
   // list (or, spill-enabled, the owned rows) in scan order.
-  std::vector<PredicateKernel> kernels;
-  std::vector<uint8_t> compiled;
-  counters_.scalar_fallbacks += CompileScanKernels(
-      pushed, table.schema(), folded, /*path=*/nullptr, kernels, compiled);
   const auto collect = [&rel, this](RowBatch& batch) {
     for (uint32_t i = 0; i < batch.selected; ++i) {
       if (rel.borrowed) {
@@ -815,8 +752,8 @@ Relation Executor::ScanFiltered(const Table& table, const std::string& alias,
       }
     }
   };
-  ScanBatched(table, rel.columns, pushed, kernels, compiled, probe,
-              probe_column, collect);
+  ScanBatched(table, pushed, setup, collect);
+  rel.columns = std::move(setup.columns);
   if (rel.borrowed) {
     counters_.rows_borrowed += rel.views.size();
   } else {
@@ -1579,8 +1516,7 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
 bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
                              bool aggregate_mode,
                              const std::vector<sql::OrderItem>* order_by,
-                             std::vector<Row>* sort_keys,
-                             const CoreAccessPath* path, Relation* out) {
+                             std::vector<Row>* sort_keys, Relation* out) {
   if (!core.from) return false;
 
   std::vector<const sql::Expr*> conjuncts;
@@ -1592,27 +1528,15 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
     const auto table = db_.FindTable(name);
     if (!table) return false;  // the reference path reports the error
 
-    const std::string alias = FoldIdentifier(core.from->alias);
-    std::vector<ColumnBinding> columns;
-    columns.reserve(table->schema().column_count());
-    for (const auto& column : table->schema().columns()) {
-      columns.push_back({alias, column.name});
-    }
-    std::vector<PredicateKernel> kernels;
-    std::vector<uint8_t> compiled;
-    counters_.scalar_fallbacks += CompileScanKernels(
-        conjuncts, table->schema(), alias, path, kernels, compiled);
-    std::string probe_column;
-    const int probe = ResolveProbe(path, conjuncts, *table, core.from->alias,
-                                   &probe_column);
+    const ScanSetup setup = SetUpScan(*table, core.from->alias, conjuncts);
     const auto source = [&](const BatchSink& sink) {
-      ScanBatched(*table, columns, conjuncts, kernels, compiled, probe,
-                  probe_column, sink);
+      ScanBatched(*table, conjuncts, setup, sink);
     };
-    *out = aggregate_mode ? AggregateCore(core, columns, &table->schema(),
-                                          source, order_by, sort_keys)
-                          : ProjectCore(core, columns, source, order_by,
-                                        sort_keys);
+    *out = aggregate_mode
+               ? AggregateCore(core, setup.columns, &table->schema(), source,
+                               order_by, sort_keys)
+               : ProjectCore(core, setup.columns, source, order_by,
+                             sort_keys);
     ++counters_.vectorized_cores;
     return true;
   }
@@ -1745,8 +1669,7 @@ void Executor::FindEmptyCores(const sql::SelectStmt& select,
 
 Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
                             const std::vector<sql::OrderItem>* order_by,
-                            std::vector<Row>* sort_keys,
-                            const CoreAccessPath* path) {
+                            std::vector<Row>* sort_keys) {
   bool aggregate_mode = !core.group_by.empty() || core.having != nullptr;
   if (!aggregate_mode) {
     for (const auto& item : core.items) {
@@ -1766,8 +1689,7 @@ Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
     return out;
   }
   if (db_.select_engine() != SelectEngine::kBatch ||
-      !EvalBatchCore(core, ctx, aggregate_mode, order_by, sort_keys, path,
-                     &out)) {
+      !EvalBatchCore(core, ctx, aggregate_mode, order_by, sort_keys, &out)) {
     out = EvalCoreReference(core, ctx, aggregate_mode, order_by, sort_keys);
   }
 
@@ -1901,19 +1823,15 @@ void Executor::FeedRelation(const Relation& rel, const BatchSink& sink) {
   }
 }
 
-ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx,
-                               const std::vector<CoreAccessPath>* paths) {
-  const auto path_for = [paths](size_t i) -> const CoreAccessPath* {
-    return paths != nullptr && i < paths->size() ? &(*paths)[i] : nullptr;
-  };
+ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx) {
   const bool single_core_sort =
       stmt.cores.size() == 1 && !stmt.order_by.empty();
   std::vector<Row> sort_keys;
   Relation combined =
       EvalCore(stmt.cores[0], ctx, single_core_sort ? &stmt.order_by : nullptr,
-               single_core_sort ? &sort_keys : nullptr, path_for(0));
+               single_core_sort ? &sort_keys : nullptr);
   for (size_t i = 1; i < stmt.cores.size(); ++i) {
-    Relation next = EvalCore(stmt.cores[i], ctx, nullptr, nullptr, path_for(i));
+    Relation next = EvalCore(stmt.cores[i], ctx);
     if (next.columns.size() != combined.columns.size()) {
       throw AnalysisError("UNION arms have different column counts (" +
                           std::to_string(combined.columns.size()) + " vs " +
@@ -1998,18 +1916,14 @@ ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx,
 ResultSet Executor::ExecWith(const sql::Statement& stmt, ExecContext& ctx) {
   const sql::WithClause& with = stmt.with;
   const std::string name = FoldIdentifier(with.name);
-  const auto* seed_paths = access_ != nullptr ? &access_->seed_cores : nullptr;
-  const auto* step_paths = access_ != nullptr ? &access_->step_cores : nullptr;
-  const auto* final_paths =
-      access_ != nullptr ? &access_->final_cores : nullptr;
 
   switch (with.kind) {
     case sql::CteKind::kPlain: {
-      Relation body = ResultToRelation(EvalSelect(*with.seed, ctx, seed_paths),
+      Relation body = ResultToRelation(EvalSelect(*with.seed, ctx),
                                        /*qualifier=*/"");
       RenameColumns(body, with.columns);
       ctx.cte_bindings[name] = &body;
-      ResultSet result = EvalSelect(*with.final_query, ctx, final_paths);
+      ResultSet result = EvalSelect(*with.final_query, ctx);
       ctx.cte_bindings.erase(name);
       return result;
     }
@@ -2021,8 +1935,7 @@ ResultSet Executor::ExecWith(const sql::Statement& stmt, ExecContext& ctx) {
       }
       // Semi-naive evaluation (paper §II-A): the recursive member sees only
       // the delta of the previous round, and R accumulates all rows.
-      Relation all =
-          ResultToRelation(EvalSelect(*with.seed, ctx, seed_paths), "");
+      Relation all = ResultToRelation(EvalSelect(*with.seed, ctx), "");
       RenameColumns(all, with.columns);
       Relation working = all;
 
@@ -2033,8 +1946,7 @@ ResultSet Executor::ExecWith(const sql::Statement& stmt, ExecContext& ctx) {
         }
         if (working.rows.empty()) break;
         ctx.cte_bindings[name] = &working;
-        Relation delta =
-            ResultToRelation(EvalSelect(*with.step, ctx, step_paths), "");
+        Relation delta = ResultToRelation(EvalSelect(*with.step, ctx), "");
         ctx.cte_bindings.erase(name);
         if (delta.columns.size() != all.columns.size()) {
           throw AnalysisError(
@@ -2052,7 +1964,7 @@ ResultSet Executor::ExecWith(const sql::Statement& stmt, ExecContext& ctx) {
       }
 
       ctx.cte_bindings[name] = &all;
-      ResultSet result = EvalSelect(*with.final_query, ctx, final_paths);
+      ResultSet result = EvalSelect(*with.final_query, ctx);
       ctx.cte_bindings.erase(name);
       return result;
     }
@@ -2119,9 +2031,7 @@ std::vector<Row> Executor::SelectForInsert(const sql::Statement& stmt,
   // The source SELECT fully materializes (EvalSelect returns owned rows)
   // before the first Insert call — Insert can grow the table's row
   // vector, which would invalidate any borrowed views into it.
-  ResultSet selected =
-      EvalSelect(*stmt.insert_select, ctx,
-                 access_ != nullptr ? &access_->insert_cores : nullptr);
+  ResultSet selected = EvalSelect(*stmt.insert_select, ctx);
   return std::move(selected.rows);
 }
 
@@ -2438,16 +2348,8 @@ ResultSet Executor::Execute(const sql::Statement& stmt, Session* session) {
 
 ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
                                     const LockPlan& plan, Session* session) {
-  return ExecuteWithPlan(stmt, plan, /*access=*/nullptr, session);
-}
-
-ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
-                                    const LockPlan& plan,
-                                    const AccessPlan* access,
-                                    Session* session) {
   rows_examined_ = 0;
   counters_ = {};
-  access_ = access;
   GovBeginStatement();
   // Statement pin ledger: every paged row view the engine hands out below
   // is backed by a page pinned here (scan windows release early; anything
@@ -2460,11 +2362,9 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
     // Statement-scope teardown: the whole transient reservation returns to
     // the tracker chain, so an aborted statement frees its working set.
     GovEndStatement();
-    access_ = nullptr;
     throw;
   }
   GovEndStatement();
-  access_ = nullptr;
   result.rows_examined = rows_examined_;
   SQLOOP_COUNT(recorder_, "minidb.rows_examined", rows_examined_);
   // Engine counters flush only when nonzero so statements that never touch
@@ -2573,77 +2473,6 @@ LockPlan Executor::BuildLockPlan(const sql::Statement& stmt) const {
   return plan;
 }
 
-CoreAccessPath Executor::AnalyzeCore(
-    const sql::SelectCore& core,
-    const std::unordered_set<std::string>& ctes) const {
-  CoreAccessPath path;
-  if (!core.from || core.from->kind != sql::TableRefKind::kBase) return path;
-  const std::string name = FoldIdentifier(core.from->table_name);
-  if (ctes.contains(name) || db_.HasView(name)) return path;
-  const auto table = db_.FindTable(name);
-  if (!table) return path;
-  path.single_base = true;
-  path.table = name;
-  std::vector<const sql::Expr*> conjuncts;
-  if (core.where) {
-    SplitConjuncts(*core.where, conjuncts);
-    path.probe_conjunct = ChooseProbe(conjuncts, *table, core.from->alias,
-                                      /*allow_parameters=*/true,
-                                      &path.probe_column);
-  }
-  // Batched access-path hints: 1 = compiles into a total kernel under the
-  // bind-time schema, 2 = parameter-dependent (retry against the bound
-  // AST at execution), 0 = known uncompilable (skip the attempt).
-  path.batch_analyzed = true;
-  path.kernel_conjuncts.reserve(conjuncts.size());
-  const std::string alias = FoldIdentifier(core.from->alias);
-  PredicateKernel kernel;
-  for (const sql::Expr* conjunct : conjuncts) {
-    if (CompilePredicateKernel(*conjunct, table->schema(), alias, &kernel)) {
-      path.kernel_conjuncts.push_back(1);
-    } else {
-      path.kernel_conjuncts.push_back(ContainsParameter(*conjunct) ? 2 : 0);
-    }
-  }
-  return path;
-}
-
-AccessPlan Executor::BuildAccessPlan(const sql::Statement& stmt) const {
-  AccessPlan plan;
-  const auto analyze = [this](const sql::SelectStmt& select,
-                              const std::unordered_set<std::string>& ctes,
-                              std::vector<CoreAccessPath>& out) {
-    out.reserve(select.cores.size());
-    for (const auto& core : select.cores) {
-      out.push_back(AnalyzeCore(core, ctes));
-    }
-  };
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      analyze(*stmt.select, {}, plan.select_cores);
-      break;
-    case sql::StatementKind::kWith: {
-      // The seed runs before the CTE binding exists; the recursive member
-      // and the final query see it (a core reading the CTE gets no cached
-      // path — the executor re-checks the live bindings anyway).
-      const std::unordered_set<std::string> ctes = {
-          FoldIdentifier(stmt.with.name)};
-      analyze(*stmt.with.seed, {}, plan.seed_cores);
-      if (stmt.with.step) analyze(*stmt.with.step, ctes, plan.step_cores);
-      analyze(*stmt.with.final_query, ctes, plan.final_cores);
-      break;
-    }
-    case sql::StatementKind::kInsert:
-      if (stmt.insert_select) {
-        analyze(*stmt.insert_select, {}, plan.insert_cores);
-      }
-      break;
-    default:
-      break;
-  }
-  return plan;
-}
-
 ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
                                     const LockPlan& plan, Session* session) {
   ExecContext ctx;
@@ -2652,8 +2481,7 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
       LockSet locks(recorder_);
       ApplyLockPlan(locks, db_, plan);
       locks.AcquireAll();
-      return EvalSelect(*stmt.select, ctx,
-                        access_ != nullptr ? &access_->select_cores : nullptr);
+      return EvalSelect(*stmt.select, ctx);
     }
     case sql::StatementKind::kWith: {
       LockSet locks(recorder_);
@@ -2913,24 +2741,37 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
   throw UsageError("unknown statement kind");
 }
 
+ParsedStatement ParseCounted(std::string_view text,
+                             telemetry::Recorder* recorder) {
+  SQLOOP_COUNT(recorder, "sql.parse_count", 1);
+#if SQLOOP_TELEMETRY_ENABLED
+  const Stopwatch parse_watch;
+#endif
+  ParsedStatement parsed;
+  parsed.ast = sql::ParseStatement(text);
+  SQLOOP_TIME_SECONDS(recorder, "sql.parse_seconds",
+                      parse_watch.ElapsedSeconds());
+  int max_param = -1;
+  sql::VisitStatementExprs(*parsed.ast, [&max_param](const sql::Expr& expr) {
+    if (expr.kind == sql::ExprKind::kParameter) {
+      max_param = std::max(max_param, expr.param_index);
+    }
+  });
+  parsed.param_count = max_param + 1;
+  return parsed;
+}
+
 ResultSet Executor::ExecuteSql(std::string_view text, Session* session) {
   if (db_.plan_cache().enabled()) {
     const auto plan = Prepare(text);
-    ResultSet result =
-        ExecuteWithPlan(*plan->ast, *plan->locks, plan->access.get(), session);
+    ResultSet result = ExecuteWithPlan(*plan->ast, *plan->locks, session);
     result.compiled = last_prepare_parsed_;
     return result;
   }
   // Ablation path (--no-plan-cache): the pre-cache cost model — every
   // statement pays a full parse.
-  SQLOOP_COUNT(recorder_, "sql.parse_count", 1);
-#if SQLOOP_TELEMETRY_ENABLED
-  const Stopwatch parse_watch;
-#endif
-  const auto stmt = sql::ParseStatement(text);
-  SQLOOP_TIME_SECONDS(recorder_, "sql.parse_seconds",
-                      parse_watch.ElapsedSeconds());
-  ResultSet result = Execute(*stmt, session);
+  const ParsedStatement parsed = ParseCounted(text, recorder_);
+  ResultSet result = Execute(*parsed.ast, session);
   result.compiled = true;
   return result;
 }
@@ -2944,8 +2785,6 @@ std::shared_ptr<const CachedPlan> Executor::Rebind(const CachedPlan& stale,
   rebound->ast = stale.ast;
   rebound->param_count = stale.param_count;
   rebound->locks = std::make_shared<const LockPlan>(BuildLockPlan(*stale.ast));
-  rebound->access =
-      std::make_shared<const AccessPlan>(BuildAccessPlan(*stale.ast));
   rebound->bound_version = version;
   db_.plan_cache().NoteRebind();
   SQLOOP_COUNT(recorder_, "minidb.plan_rebinds", 1);
@@ -2986,27 +2825,12 @@ std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text,
     return entry;
   }
   SQLOOP_COUNT(recorder_, "minidb.plan_cache_misses", 1);
-  SQLOOP_COUNT(recorder_, "sql.parse_count", 1);
   last_prepare_parsed_ = true;
   auto plan = std::make_shared<CachedPlan>();
-  {
-#if SQLOOP_TELEMETRY_ENABLED
-    const Stopwatch parse_watch;
-#endif
-    auto parsed = sql::ParseStatement(text);
-    SQLOOP_TIME_SECONDS(recorder_, "sql.parse_seconds",
-                        parse_watch.ElapsedSeconds());
-    int max_param = -1;
-    sql::VisitStatementExprs(*parsed, [&max_param](const sql::Expr& expr) {
-      if (expr.kind == sql::ExprKind::kParameter) {
-        max_param = std::max(max_param, expr.param_index);
-      }
-    });
-    plan->param_count = max_param + 1;
-    plan->ast = std::shared_ptr<const sql::Statement>(std::move(parsed));
-  }
+  ParsedStatement parsed = ParseCounted(text, recorder_);
+  plan->param_count = parsed.param_count;
+  plan->ast = std::move(parsed.ast);
   plan->locks = std::make_shared<const LockPlan>(BuildLockPlan(*plan->ast));
-  plan->access = std::make_shared<const AccessPlan>(BuildAccessPlan(*plan->ast));
   plan->bound_version = version;
   if (pin || first_misses_.erase(key) > 0) {
     cache.Put(key, plan);

@@ -45,6 +45,19 @@ class Session {
   std::unordered_map<std::string, std::vector<Row>> backups_;
 };
 
+/// One parsed statement and its number of `?` placeholders.
+struct ParsedStatement {
+  sql::StatementPtr ast;
+  int param_count = 0;
+};
+
+/// Parses exactly one statement of `text`, counting `sql.parse_count` and
+/// timing `sql.parse_seconds` on `recorder` (null = not recorded). Every
+/// parse the plan cache, its off switch and prepared statements pay goes
+/// through here.
+ParsedStatement ParseCounted(std::string_view text,
+                             telemetry::Recorder* recorder);
+
 class Executor {
  public:
   explicit Executor(Database& db) : db_(db) {}
@@ -54,16 +67,10 @@ class Executor {
   ResultSet Execute(const sql::Statement& stmt, Session* session = nullptr);
 
   /// Executes a statement with a precomputed lock plan (from Prepare or a
-  /// cached plan), skipping the per-statement table-collection walk.
+  /// cached plan), skipping the per-statement table-collection walk. Access
+  /// paths are chosen per execution, against the live catalog.
   ResultSet ExecuteWithPlan(const sql::Statement& stmt, const LockPlan& plan,
                             Session* session = nullptr);
-
-  /// Same, additionally supplying the cached per-core access paths so the
-  /// batch engine skips its scan/index-probe analysis. `access` may be
-  /// null (ad-hoc execution); cached paths are re-validated against the
-  /// live catalog before use.
-  ResultSet ExecuteWithPlan(const sql::Statement& stmt, const LockPlan& plan,
-                            const AccessPlan* access, Session* session);
 
   /// Executes exactly one statement of SQL text. Consults the database's
   /// plan cache first: repeated text skips the parse entirely, and a
@@ -86,11 +93,6 @@ class Executor {
   /// Computes the lock plan (base tables to lock, views expanded) for a
   /// statement under the current catalog.
   LockPlan BuildLockPlan(const sql::Statement& stmt) const;
-
-  /// Computes the per-core access paths (single-base-table detection and
-  /// index-probe choice) for a statement under the current catalog. Cached
-  /// alongside the lock plan; rebuilt on every re-bind.
-  AccessPlan BuildAccessPlan(const sql::Statement& stmt) const;
 
   /// Scan/materialization accounting for the most recent statement this
   /// executor ran (reset per statement; also flushed to the recorder as
@@ -201,12 +203,10 @@ class Executor {
   // The producers are the batched base-table scan, the join (staging its
   // combined rows into batches), and the reference relation. Operator
   // outputs are always owned relations.
-  ResultSet EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx,
-                       const std::vector<CoreAccessPath>* paths = nullptr);
+  ResultSet EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx);
   Relation EvalCore(const sql::SelectCore& core, ExecContext& ctx,
                     const std::vector<sql::OrderItem>* order_by = nullptr,
-                    std::vector<Row>* sort_keys = nullptr,
-                    const CoreAccessPath* path = nullptr);
+                    std::vector<Row>* sort_keys = nullptr);
   /// The materializing pipeline (pre-fusion behavior, kept verbatim): the
   /// oracle the batch engine is tested against, the whole pipeline of a
   /// SelectEngine::kReference database, and the fallback for cores the
@@ -226,8 +226,7 @@ class Executor {
   bool EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
                      bool aggregate_mode,
                      const std::vector<sql::OrderItem>* order_by,
-                     std::vector<Row>* sort_keys, const CoreAccessPath* path,
-                     Relation* out);
+                     std::vector<Row>* sort_keys, Relation* out);
   /// True for a single-table, non-aggregate core whose WHERE bounds a
   /// column to an empty literal range (`c > 5 AND c <= 5`) and whose
   /// conjuncts are all total: it returns no rows, whatever its table holds.
@@ -238,20 +237,34 @@ class Executor {
   /// it before locking, so a Gather's idle outbox arms neither scan nor
   /// lock their outboxes.
   void FindEmptyCores(const sql::SelectStmt& select, ExecContext& ctx) const;
-  /// The batched base-table scan: visits `table`'s live rows (or, with
-  /// `probe_conjunct` >= 0, the rows an equality index probe on
-  /// `probe_column` returns, in scan order) a RowBatch at a time and
-  /// pushes the lanes passing every conjunct of `pushed` into `sink` (the
-  /// probe conjunct too, preserving SQL `=` semantics).
-  /// `kernels[i]` applies when `compiled[i]` is set; the other conjuncts
-  /// are evaluated per lane over every visited lane, so each row sees
-  /// every conjunct (classic AND), before the sink sees the batch.
+  /// A base-table scan's access path, chosen per execution against the
+  /// live catalog: the scan's column bindings, a predicate kernel for each
+  /// pushed conjunct whose shape compiles (`compiled[i]` set), and the
+  /// first conjunct usable as an equality index probe (`probe_conjunct`,
+  /// -1 = full scan) with the column it narrows on.
+  struct ScanSetup {
+    std::vector<ColumnBinding> columns;
+    std::vector<PredicateKernel> kernels;
+    std::vector<uint8_t> compiled;
+    int probe_conjunct = -1;
+    std::string probe_column;
+  };
+  /// The one scan set-up both base-table scan sites (EvalBatchCore and
+  /// ScanFiltered) run before ScanBatched. A prepared statement's `?`
+  /// slots are bound literals by now, so they compile and probe like any
+  /// literal. Counts each uncompiled conjunct as a scalar fallback.
+  ScanSetup SetUpScan(const Table& table, const std::string& alias,
+                      const std::vector<const sql::Expr*>& pushed);
+  /// The batched base-table scan: visits `table`'s live rows (or, with a
+  /// probe in `setup`, the rows the equality index probe returns, in scan
+  /// order) a RowBatch at a time and pushes the lanes passing every
+  /// conjunct of `pushed` into `sink` (the probe conjunct too, preserving
+  /// SQL `=` semantics). Compiled conjuncts run as kernels; the others are
+  /// evaluated per lane over every visited lane, so each row sees every
+  /// conjunct (classic AND), before the sink sees the batch.
   void ScanBatched(const Table& table,
-                   const std::vector<ColumnBinding>& columns,
                    const std::vector<const sql::Expr*>& pushed,
-                   const std::vector<PredicateKernel>& kernels,
-                   const std::vector<uint8_t>& compiled, int probe_conjunct,
-                   const std::string& probe_column, const BatchSink& sink);
+                   const ScanSetup& setup, const BatchSink& sink);
   /// Pushes `rel`'s rows into `sink` as batches of views (the reference
   /// pipeline's producer).
   void FeedRelation(const Relation& rel, const BatchSink& sink);
@@ -274,11 +287,6 @@ class Executor {
   /// with an index probe chosen from `pushed` when available.
   Relation ScanFiltered(const Table& table, const std::string& alias,
                         const std::vector<const sql::Expr*>& pushed);
-  /// Per-core access analysis shared by BuildAccessPlan (bind time) and
-  /// the batch engine (runtime, when no cached path applies).
-  CoreAccessPath AnalyzeCore(const sql::SelectCore& core,
-                             const std::unordered_set<std::string>& ctes)
-      const;
   /// Collects the full FROM-tree output bindings without evaluating
   /// anything; returns false when they cannot be precomputed (views,
   /// subqueries), which disables join predicate pushdown for the core.
@@ -370,9 +378,6 @@ class Executor {
   // connection owns its Executor, so no synchronization is needed).
   size_t rows_examined_ = 0;
   EngineCounters counters_;
-  // Access paths of the statement currently executing (null for ad-hoc
-  // execution); set by ExecuteWithPlan, read by the SELECT pipeline.
-  const AccessPlan* access_ = nullptr;
   // Scratch buffer for index probes, reused across probes and statements
   // so the steady-state batch engine allocates nothing per probe.
   std::vector<size_t> probe_ids_;

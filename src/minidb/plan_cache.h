@@ -2,20 +2,17 @@
 // path (paper §V — an iterative query re-executes the same small statement
 // set every round, so parse/bind cost must not scale with rounds × tasks).
 //
-// A cache entry is keyed by (engine profile, normalized SQL text) and holds
-// two layers with different lifetimes:
+// A cache entry is keyed by (engine profile, normalized SQL text) and is a
+// parse plus a lock set, with different lifetimes:
 //   * the parsed AST — a pure function of the text, shared immutably and
 //     never invalidated;
-//   * the bound lock plan (base tables to lock, views expanded) and the
-//     bound access plan (per-core scan/index-probe choice) — valid only
-//     for the catalog version they were computed under. Any DDL (including
-//     index DDL) bumps Database::catalog_version(), and the next lookup
-//     re-binds both from the cached AST without re-parsing.
-// Name resolution still happens at execution time against the live
-// catalog, and the executor re-validates a cached access path before
-// probing, so a cached plan can never read a dropped index — the version
-// check exists to keep the precomputed lock set, view expansion, and
-// index choice honest.
+//   * the bound lock plan (base tables to lock, views expanded) — valid
+//     only for the catalog version it was computed under. Any DDL
+//     (including index DDL) bumps Database::catalog_version(), and the
+//     next lookup re-binds it from the cached AST without re-parsing.
+// Name resolution and access-path choice (index probe or full scan,
+// predicate kernels) happen at execution time against the live catalog,
+// so a cached plan can never read a dropped index.
 #pragma once
 
 #include <atomic>
@@ -48,52 +45,12 @@ struct LockPlan {
   bool phased = false;
 };
 
-/// Bind-time access-path choice for one SELECT core. Only the common
-/// SQLoop shape — FROM one base table (no CTE/view shadowing it) — is
-/// cached; everything else re-analyzes at execution time, which is cheap.
-/// The probe is identified by its *ordinal* into the WHERE clause's
-/// top-level AND-conjunct list (SplitConjuncts order is deterministic), not
-/// by expression pointer: prepared statements execute a cloned bound AST,
-/// so pointers into the cached AST would dangle semantically. The executor
-/// re-validates the ordinal's shape against the live catalog before use, so
-/// a stale path degrades to a fresh analysis, never to a wrong result.
-struct CoreAccessPath {
-  bool single_base = false;   // FROM is exactly one base table
-  std::string table;          // folded base-table name
-  int probe_conjunct = -1;    // conjunct ordinal usable as index probe; -1 =
-                              // full scan
-  std::string probe_column;   // folded column the probe narrows on
-
-  // --- batched access-path hints (vectorized pipeline) -------------------
-  // Bind-time kernel analysis for the batch data plane: kernel_conjuncts[i]
-  // records whether WHERE conjunct ordinal i compiled into a total
-  // predicate kernel against the schema seen at bind time (see
-  // minidb/batch.h). Hints only: the executor re-compiles flagged conjuncts
-  // against the live catalog and treats any mismatch (DDL changed the
-  // schema, conjunct list diverged) as "analyze fresh" — a stale hint can
-  // cost a scalar fallback, never a wrong result.
-  bool batch_analyzed = false;
-  std::vector<uint8_t> kernel_conjuncts;
-};
-
-/// Access paths for every top-level SELECT core of a statement, each vector
-/// aligned by core ordinal with the corresponding SelectStmt::cores.
-struct AccessPlan {
-  std::vector<CoreAccessPath> select_cores;  // kSelect
-  std::vector<CoreAccessPath> seed_cores;    // kWith seed / plain CTE body
-  std::vector<CoreAccessPath> step_cores;    // recursive member
-  std::vector<CoreAccessPath> final_cores;   // final query
-  std::vector<CoreAccessPath> insert_cores;  // INSERT ... SELECT source
-};
-
-/// One compiled statement: immutable AST plus the lock plan and access
-/// plan bound under `bound_version`. Shared between the cache and any
-/// prepared statements holding the handle — eviction never invalidates
-/// outstanding handles.
+/// One compiled statement: immutable AST plus the lock plan bound under
+/// `bound_version`. Shared between the cache and any prepared statements
+/// holding the handle — eviction never invalidates outstanding handles.
 struct CachedPlan {
   std::shared_ptr<const sql::Statement> ast;
   std::shared_ptr<const LockPlan> locks;
-  std::shared_ptr<const AccessPlan> access;
   uint64_t bound_version = 0;
   int param_count = 0;  // number of `?` placeholders in the statement
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -147,10 +148,14 @@ TEST(FairScheduler, GrantsRoundsProportionalToWeight) {
   // can finish early and skew the ratio by running uncontended. Each
   // holds the Enter/Leave liveness claim for the whole drive, exactly as
   // a running job's gate does — without it the idle floor re-fires
-  // between rounds and the stride collapses toward round-robin.
+  // between rounds and the stride collapses toward round-robin. Both
+  // Enter before either drives: otherwise whichever thread starts first
+  // runs rounds alone until the other arrives, and those grants count.
   std::atomic<bool> stop{false};
+  std::latch entered(2);
   auto drive = [&](const std::string& tenant) {
     scheduler.Enter(tenant);
+    entered.arrive_and_wait();
     while (!stop.load()) {
       if (!scheduler.BeginRound(tenant, stop)) break;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
