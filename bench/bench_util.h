@@ -6,6 +6,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +43,14 @@ inline int64_t Knob(const char* name, int64_t fallback) {
     return std::atoll(value);
   }
   return fallback;
+}
+
+/// The median of `values` (mean of the middle two for an even count).
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  if (n == 0) return 0;
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
 }
 
 /// One sqlplot-tools style result line: `RESULT key=value key=value ...`.

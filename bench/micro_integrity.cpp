@@ -4,14 +4,17 @@
 // modes: with per-table content checksums disabled (the A arm), with
 // checksums maintained at every mutation (the default, the B arm), and
 // with checksums plus a scrub pass every round (the worst-case C arm).
-// Each arm reports wall time and overhead relative to the checksum-free
-// run; the acceptance bar is <5% overhead for checksum maintenance under
-// the modeled testbed latencies. All arms must produce identical results
-// — integrity bookkeeping must never perturb the fixpoint.
+// The arms take turns, one run each per round (the order rotating every
+// round), so each round yields a paired overhead over the same stretch of
+// host time; each arm reports its median wall time and the median of its
+// rounds' overheads relative to the checksum-free run. The acceptance bar
+// is <5% median overhead for checksum maintenance under the modeled
+// testbed latencies. All arms must produce identical results — integrity
+// bookkeeping must never perturb the fixpoint.
 //
 // Writes a JSON baseline (default BENCH_integrity.json; --json <path>
-// to move it). Knobs: SQLOOP_BENCH_{PR_NODES,PR_DEG,PR_ITERS,REPS,
-// THREADS,PARTITIONS,LATENCY_US,ROW_COST_NS,COMPILE_US}.
+// to move it). Knobs: SQLOOP_BENCH_{PR_NODES,PR_DEG,PR_ITERS,REPS (the
+// rounds), THREADS,PARTITIONS,LATENCY_US,ROW_COST_NS,COMPILE_US}.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -28,6 +31,7 @@ namespace {
 
 using namespace sqloop;
 using bench::Knob;
+using bench::Median;
 
 /// Sorted rows with a 1e-9 numeric tolerance for the parallel arms (bit
 /// equality is demanded of the single-thread mode; the durability test
@@ -64,7 +68,9 @@ bool Equivalent(const dbc::ResultSet& a, const dbc::ResultSet& b,
 
 struct Arm {
   const char* label;
-  double seconds = 0;
+  std::vector<double> rounds;  // seconds per round
+  double seconds = 0;          // median over the rounds
+  double overhead_pct = 0;     // median paired overhead vs the off arm
   uint64_t scrub_passes = 0;
   dbc::ResultSet result;
 };
@@ -92,7 +98,7 @@ int main(int argc, char** argv) {
   const int64_t nodes = Knob("PR_NODES", 800);
   const int64_t deg = Knob("PR_DEG", 3);
   const int64_t iters = Knob("PR_ITERS", 20);
-  const int64_t reps = Knob("REPS", 3);
+  const int64_t rounds = std::max<int64_t>(Knob("REPS", 9), 1);
   const int threads = static_cast<int>(Knob("THREADS", 4));
   const int partitions = static_cast<int>(Knob("PARTITIONS", 8));
 
@@ -119,14 +125,19 @@ int main(int argc, char** argv) {
                                        core::ExecutionMode::kSync};
 
   std::vector<ModeReport> reports;
+  const size_t arm_count = std::size(specs);
   for (const auto mode : modes) {
     ModeReport report{core::ExecutionModeName(mode), {}, true};
     for (const ArmSpec& spec : specs) {
-      Arm arm;
-      arm.label = spec.label;
-      db->set_integrity_enabled(spec.integrity);
-      double best = 0;
-      for (int64_t rep = 0; rep < reps; ++rep) {
+      report.arms.emplace_back();
+      report.arms.back().label = spec.label;
+    }
+    for (int64_t r = 0; r < rounds; ++r) {
+      for (size_t turn = 0; turn < arm_count; ++turn) {
+        const size_t a = (turn + static_cast<size_t>(r)) % arm_count;
+        const ArmSpec& spec = specs[a];
+        Arm& arm = report.arms[a];
+        db->set_integrity_enabled(spec.integrity);
         core::SqloopOptions options;
         options.mode = mode;
         options.threads = threads;
@@ -135,15 +146,24 @@ int main(int argc, char** argv) {
         core::SqLoop loop(url, options);
         const Stopwatch watch;
         auto result = loop.Execute(query);
-        const double seconds = watch.ElapsedSeconds();
-        if (rep == 0 || seconds < best) best = seconds;
+        arm.rounds.push_back(watch.ElapsedSeconds());
         arm.scrub_passes = loop.last_run().scrub_passes;
         arm.result = std::move(result);
       }
-      arm.seconds = best;
-      report.arms.push_back(std::move(arm));
     }
     db->set_integrity_enabled(true);
+    const std::vector<double>& off_rounds = report.arms[0].rounds;
+    for (Arm& arm : report.arms) {
+      arm.seconds = Median(arm.rounds);
+      std::vector<double> overheads;
+      for (size_t r = 0; r < arm.rounds.size(); ++r) {
+        overheads.push_back(
+            off_rounds[r] > 0
+                ? (arm.rounds[r] - off_rounds[r]) / off_rounds[r] * 100.0
+                : 0);
+      }
+      arm.overhead_pct = Median(overheads);
+    }
     // Integrity bookkeeping must not change the answer (exact for
     // single-thread, the repo-standard 1e-9 for Sync).
     const double tolerance =
@@ -159,7 +179,7 @@ int main(int argc, char** argv) {
 
   bool pass = true;
   std::cout << "PageRank " << iters << " iterations, " << nodes
-            << " nodes (best of " << reps << "):\n"
+            << " nodes (median of " << rounds << " paired rounds):\n"
             << std::left << std::setw(14) << "mode" << std::right
             << std::setw(10) << "off" << std::setw(12) << "checksums"
             << std::setw(12) << "ck+scrub" << std::setw(10) << "ovh%"
@@ -171,11 +191,8 @@ int main(int argc, char** argv) {
   for (size_t m = 0; m < reports.size(); ++m) {
     const ModeReport& r = reports[m];
     const double off = r.arms[0].seconds;
-    const auto overhead = [off](const Arm& arm) {
-      return off > 0 ? (arm.seconds - off) / off * 100.0 : 0.0;
-    };
-    const double ovh_ck = overhead(r.arms[1]);
-    const double ovh_scrub = overhead(r.arms[2]);
+    const double ovh_ck = r.arms[1].overhead_pct;
+    const double ovh_scrub = r.arms[2].overhead_pct;
     // The acceptance bar covers checksum maintenance only; the
     // every-round scrub arm is reported for context, not gated (a scrub
     // pass re-reads every live row, so its cost scales with table size).

@@ -71,9 +71,10 @@ check_storage_floors() {
 }
 
 # Integrity regression gate: checksum maintenance must stay under 5%
-# overhead on the fig4 loop in every mode, and no arm may perturb the
-# fixpoint (micro_integrity exits nonzero on its own, but the gate reads
-# the JSON so a stale baseline can never pass silently).
+# overhead on the fig4 loop in every mode — the median of micro_integrity's
+# per-round paired overheads — and no arm may perturb the fixpoint
+# (micro_integrity exits nonzero on its own, but the gate reads the JSON
+# so a stale baseline can never pass silently).
 check_integrity_overhead() {
   local fresh="$1"
   local overheads overhead
@@ -81,7 +82,7 @@ check_integrity_overhead() {
   grep -q '"pass": true' "${fresh}" \
     || { echo "FAIL: ${fresh} did not record pass=true"; return 1; }
   for overhead in ${overheads}; do
-    echo "    checksum-maintenance overhead: ${overhead}% (bar <5%)"
+    echo "    checksum-maintenance overhead (median paired): ${overhead}% (bar <5%)"
     awk -v o="${overhead}" 'BEGIN { exit (o+0 < 5.0) ? 0 : 1 }' \
       || { echo "FAIL: checksum overhead ${overhead}% breached the 5% bar"; return 1; }
   done
@@ -108,7 +109,7 @@ run_preset() {
       rm -f BENCH_scan.baseline.json
       echo "==> [${preset}] multi-tenant service benchmark"
       ./build/bench/micro_service --json BENCH_service.json
-      echo "==> [${preset}] resource-governance benchmark"
+      echo "==> [${preset}] resource-governance benchmark (gate: median paired overhead <3%)"
       ./build/bench/micro_governance --json BENCH_governance.json
       echo "==> [${preset}] durability acceptance suite"
       ctest --preset default -L durability

@@ -213,8 +213,8 @@ class TraceObserver : public core::ExecutionObserver {
               << " compute=" << round.compute_tasks << "/"
               << round.compute_seconds << "s gather=" << round.gather_tasks
               << "/" << round.gather_seconds << "s";
-    if (round.partitions_skipped > 0) {
-      std::cout << " skipped=" << round.partitions_skipped;
+    if (round.skipped_tasks > 0) {
+      std::cout << " skipped=" << round.skipped_tasks;
     }
     if (recorder_source_) {
       if (const telemetry::Recorder* rec = recorder_source_()) {

@@ -80,6 +80,43 @@ void CollectQualifiedColumns(const sql::Expr& expr, const std::string& alias,
   });
 }
 
+/// Whether `expr` names the CTE column `column` (unqualified or through
+/// the primary reference).
+bool IsOwnRef(const sql::Expr& expr, const CteAnalysis& analysis,
+              const std::string& column) {
+  return expr.kind == sql::ExprKind::kColumnRef &&
+         FoldIdentifier(expr.column) == column &&
+         (expr.qualifier.empty() ||
+          FoldIdentifier(expr.qualifier) == analysis.primary_alias);
+}
+
+/// The skip rule's idempotence condition for one own column (see
+/// CteAnalysis::skip_clean_computes).
+bool IdempotentOnCleanRows(const CteAnalysis::OwnColumn& own,
+                           const CteAnalysis& analysis) {
+  const sql::Expr& expr = *own.expr;
+  const char* absorb =
+      analysis.aggregate == sql::AggFunc::kMin ? "LEAST" : "GREATEST";
+  if (expr.kind == sql::ExprKind::kFunction && expr.function_name == absorb &&
+      expr.args.size() == 2) {
+    const sql::Expr& a = *expr.args[0];
+    const sql::Expr& b = *expr.args[1];
+    if ((IsOwnRef(a, analysis, own.name) &&
+         IsOwnRef(b, analysis, analysis.delta_column)) ||
+        (IsOwnRef(b, analysis, own.name) &&
+         IsOwnRef(a, analysis, analysis.delta_column))) {
+      return true;
+    }
+  }
+  bool reads_own = false;
+  sql::VisitExpr(expr, [&](const sql::Expr& node) {
+    for (const auto& other : analysis.own_columns) {
+      if (IsOwnRef(node, analysis, other.name)) reads_own = true;
+    }
+  });
+  return !reads_own;
+}
+
 CteAnalysis Fallback(CteAnalysis analysis, std::string reason) {
   analysis.parallelizable = false;
   analysis.reason = std::move(reason);
@@ -287,6 +324,13 @@ CteAnalysis AnalyzeIterativeCte(const sql::WithClause& with) {
   }
   analysis.mid_columns_used.assign(mid_columns.begin(), mid_columns.end());
 
+  analysis.skip_clean_computes =
+      (analysis.aggregate == sql::AggFunc::kMin ||
+       analysis.aggregate == sql::AggFunc::kMax) &&
+      std::all_of(analysis.own_columns.begin(), analysis.own_columns.end(),
+                  [&](const CteAnalysis::OwnColumn& own) {
+                    return IdempotentOnCleanRows(own, analysis);
+                  });
   analysis.parallelizable = true;
   return analysis;
 }

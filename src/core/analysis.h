@@ -60,6 +60,15 @@ struct CteAnalysis {
     const sql::Expr* expr = nullptr;  // borrowed from the CTE AST
   };
   std::vector<OwnColumn> own_columns;
+
+  /// Whether a Compute of a partition no Gather changed since its last
+  /// Compute is a no-op, so the parallel runner may skip it. Holds for MIN
+  /// and MAX only: their deltas are never reset and only changed rows are
+  /// sent, and every own-column update is idempotent on an unchanged
+  /// delta — LEAST(own, delta) under MIN, GREATEST(own, delta) under MAX,
+  /// or an expression that reads no own column. (SUM/AVG reset the delta
+  /// every Compute; `R.steps + 1` changes on every Compute.)
+  bool skip_clean_computes = false;
 };
 
 /// Analyzes the iterative CTE. Never throws for "merely unsupported"

@@ -172,7 +172,9 @@ struct RunStats {
   uint64_t compute_tasks = 0;
   uint64_t gather_tasks = 0;
   uint64_t message_tables = 0;  // non-empty message batches published
-  uint64_t skipped_tasks = 0;   // AsyncP partitions skipped as unproductive
+  // Compute/Gather tasks not run for lack of work (the skip rule, every
+  // mode), plus each partition AsyncP's scheduler left idle for a window.
+  uint64_t skipped_tasks = 0;
   double seconds = 0;
 
   // --- resilience (mirrored into the recorder as resilience.* counters,

@@ -113,6 +113,9 @@ ParallelRunner::ParallelRunner(std::string url, dbc::Connection& master,
   collected_dead_rows_.assign(partitions_, 0);
   watermark_.assign(partitions_ * partitions_, 0);
   addressed_.assign(partitions_ * partitions_, 0);
+  // The seed's rows, like a restored run's, have not been computed by
+  // this run yet.
+  pending_.assign(partitions_, 1);
   priorities_.assign(partitions_, std::nullopt);
   priority_known_.assign(partitions_, false);
 
@@ -620,6 +623,10 @@ uint64_t ParallelRunner::RunCompute(size_t partition, dbc::Connection& conn,
   if (!TaskText(TaskSql::kUpdate, partition).empty()) {
     updates += Statement(conn, TaskSql::kUpdate, partition).ExecuteUpdate();
   }
+  {
+    const std::scoped_lock lock(registry_mutex_);
+    pending_[partition] = 0;
+  }
   compute_tasks_.fetch_add(1);
   return updates;
 }
@@ -628,7 +635,8 @@ uint64_t ParallelRunner::RunGather(size_t partition, dbc::Connection& conn) {
   // The window per source: everything published but not yet consumed.
   // Rows a concurrent Compute is still inserting lie above `upto`. A
   // source with nothing addressed to this partition in its window gets an
-  // empty range, which the engine answers without scanning its outbox.
+  // empty range, which the engine answers without scanning or locking its
+  // outbox (a range core, DESIGN.md "Prepared execution & plan cache").
   std::vector<uint64_t> from(partitions_);
   std::vector<uint64_t> upto(partitions_);
   std::vector<uint64_t> read_upto(partitions_);
@@ -644,39 +652,62 @@ uint64_t ParallelRunner::RunGather(size_t partition, dbc::Connection& conn) {
       if (addressed) batches += upto[s] - from[s];
     }
   }
+  // A fresh token per attempt: rows a failed attempt staged are never
+  // applied, and the round border truncates them with the rest.
+  const int64_t token = static_cast<int64_t>(inbox_tokens_.fetch_add(1));
+  dbc::PreparedStatement& read = Statement(conn, TaskSql::kGatherRead, 0);
+  read.SetInt64(1, token);
+  for (size_t s = 0; s < partitions_; ++s) {
+    const int arm = static_cast<int>(3 * s) + 2;  // target, from, upto
+    read.SetInt64(arm, static_cast<int64_t>(partition));
+    read.SetInt64(arm + 1, static_cast<int64_t>(from[s]));
+    read.SetInt64(arm + 2, static_cast<int64_t>(read_upto[s]));
+  }
   uint64_t updates = 0;
-  if (batches > 0) {
-    // A fresh token per attempt: rows a failed attempt staged are never
-    // applied, and the round border truncates them with the rest.
-    const int64_t token = static_cast<int64_t>(inbox_tokens_.fetch_add(1));
-    dbc::PreparedStatement& read = Statement(conn, TaskSql::kGatherRead, 0);
-    read.SetInt64(1, token);
-    for (size_t s = 0; s < partitions_; ++s) {
-      const int arm = static_cast<int>(3 * s) + 2;  // target, from, upto
-      read.SetInt64(arm, static_cast<int64_t>(partition));
-      read.SetInt64(arm + 1, static_cast<int64_t>(from[s]));
-      read.SetInt64(arm + 2, static_cast<int64_t>(read_upto[s]));
-    }
-    if (read.ExecuteUpdate() > 0) {
-      dbc::PreparedStatement& apply =
-          Statement(conn, TaskSql::kGatherApply, partition);
-      apply.SetInt64(1, token);
-      updates = apply.ExecuteUpdate();
-    }
+  if (read.ExecuteUpdate() > 0) {
+    dbc::PreparedStatement& apply =
+        Statement(conn, TaskSql::kGatherApply, partition);
+    apply.SetInt64(1, token);
+    updates = apply.ExecuteUpdate();
   }
   {
-    // With nothing addressed to this partition the window is consumed
-    // without a statement.
     const std::scoped_lock lock(registry_mutex_);
     for (size_t s = 0; s < partitions_; ++s) {
       uint64_t& mark = watermark_[partition * partitions_ + s];
       mark = std::max(mark, upto[s]);
     }
+    if (updates > 0) pending_[partition] = 1;
   }
   // Counted at completion (not entry) so a retried gather counts once.
   gather_tasks_.fetch_add(1);
   messages_consumed_.fetch_add(batches);
   return updates;
+}
+
+bool ParallelRunner::SkipIdleGather(size_t partition) {
+  {
+    const std::scoped_lock lock(registry_mutex_);
+    if (HasUnreadTargetedMessages(partition)) return false;
+    // Nothing in the window is addressed here: consume it unread.
+    for (size_t s = 0; s < partitions_; ++s) {
+      uint64_t& mark = watermark_[partition * partitions_ + s];
+      mark = std::max(mark, published_[s]);
+    }
+  }
+  skipped_tasks_.fetch_add(1);
+  return true;
+}
+
+bool ParallelRunner::SkipCleanCompute(size_t partition) {
+  if (!analysis_.skip_clean_computes) return false;
+  {
+    // A Compute retried after a partial attempt is still pending: only a
+    // finished Compute clears the flag.
+    const std::scoped_lock lock(registry_mutex_);
+    if (pending_[partition] != 0) return false;
+  }
+  skipped_tasks_.fetch_add(1);
+  return true;
 }
 
 uint64_t ParallelRunner::TimedCompute(size_t partition, dbc::Connection& conn,
@@ -725,23 +756,27 @@ void ParallelRunner::RunSpec(dbc::Connection& conn, TaskSpec& spec) {
   const size_t k = spec.partition;
   const auto partition = static_cast<int64_t>(k);
   if (spec.do_gather) {
-    const uint64_t updates = retrier_.Run(conn, "gather", partition, [&] {
-      return TimedGather(k, conn);
-    });
-    round_updates_.fetch_add(updates);
-    spec.updates += updates;
+    if (!SkipIdleGather(k)) {
+      const uint64_t updates = retrier_.Run(conn, "gather", partition, [&] {
+        return TimedGather(k, conn);
+      });
+      round_updates_.fetch_add(updates);
+      spec.updates += updates;
+    }
     spec.do_gather = false;
   }
   if (spec.do_compute) {
-    const uint64_t updates = retrier_.Run(conn, "compute", partition, [&] {
-      return TimedCompute(k, conn, spec.compute);
-    });
-    round_updates_.fetch_add(updates);
-    spec.updates += updates;
+    if (!SkipCleanCompute(k)) {
+      const uint64_t updates = retrier_.Run(conn, "compute", partition, [&] {
+        return TimedCompute(k, conn, spec.compute);
+      });
+      round_updates_.fetch_add(updates);
+      spec.updates += updates;
+    }
     spec.do_compute = false;
   }
-  if (spec.refresh != RefreshMode::kNone) {
-    if (spec.refresh == RefreshMode::kAlways || spec.updates > 0) {
+  if (spec.refresh_priority) {
+    if (spec.updates > 0) {
       retrier_.Run(conn, "priority", partition, [&] {
         RefreshPriority(k, conn);
         return 0;
@@ -753,7 +788,7 @@ void ParallelRunner::RunSpec(dbc::Connection& conn, TaskSpec& spec) {
       priorities_[k] = std::nullopt;
       priority_known_[k] = true;
     }
-    spec.refresh = RefreshMode::kNone;
+    spec.refresh_priority = false;
   }
 }
 
@@ -847,7 +882,8 @@ void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
   it.barrier_wait_seconds = barrier_wait;
   it.messages_produced = produced - prev_messages_produced_;
   it.messages_consumed = consumed - prev_messages_consumed_;
-  it.partitions_skipped = stats_.skipped_tasks - prev_skipped_;
+  const uint64_t skipped = skipped_tasks_.load();
+  it.skipped_tasks = skipped - prev_skipped_;
   it.seconds = run_watch_.ElapsedSeconds() - round_start;
   prev_compute_tasks_ = compute_tasks;
   prev_gather_tasks_ = gather_tasks;
@@ -855,7 +891,7 @@ void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
   prev_messages_consumed_ = consumed;
   prev_compute_ns_ = compute_ns;
   prev_gather_ns_ = gather_ns;
-  prev_skipped_ = stats_.skipped_tasks;
+  prev_skipped_ = skipped;
   if (recorder_ != nullptr) recorder_->RecordIteration(it);
   if (observer_ != nullptr) observer_->OnRoundEnd(it);
 }
@@ -1006,6 +1042,8 @@ bool ParallelRunner::RestoreFromCheckpoint() {
 
   // Registry state, captured right after the round's collection: the
   // outboxes hold exactly the rows above ConsumedUpto, without tombstones.
+  // Every partition stays pending (as the constructor set it): a Compute
+  // of a clean one is a no-op, so the first resumed round may run it.
   {
     const std::scoped_lock lock(registry_mutex_);
     published_ = m.published;
@@ -1140,51 +1178,6 @@ void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
   SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kPriority,
                             static_cast<int64_t>(partition), start,
                             run_watch_.ElapsedSeconds() - start, 0););
-}
-
-std::vector<size_t> ParallelRunner::PartitionOrderForRound() {
-  std::vector<size_t> order;
-  order.reserve(partitions_);
-  if (options_.mode != ExecutionMode::kAsyncPriority ||
-      options_.priority_query.empty()) {
-    for (size_t k = 0; k < partitions_; ++k) order.push_back(k);
-    return order;
-  }
-
-  struct Entry {
-    size_t partition;
-    double rank;  // already oriented so larger runs first
-  };
-  std::vector<Entry> entries;
-  {
-    const std::scoped_lock lock(priority_mutex_, registry_mutex_);
-    for (size_t k = 0; k < partitions_; ++k) {
-      const bool has_messages = HasUnreadTargetedMessages(k);
-      if (!priority_known_[k]) {
-        // Never measured: run it first.
-        entries.push_back({k, std::numeric_limits<double>::infinity()});
-        continue;
-      }
-      if (!priorities_[k].has_value()) {
-        if (has_messages) {
-          // No productive work of its own, but it must still consume
-          // pending messages.
-          entries.push_back({k, -std::numeric_limits<double>::infinity()});
-        } else {
-          stats_.skipped_tasks += 1;
-        }
-        continue;
-      }
-      const double v = *priorities_[k];
-      entries.push_back({k, options_.priority_descending ? v : -v});
-    }
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.rank > b.rank;
-                   });
-  for (const Entry& e : entries) order.push_back(e.partition);
-  return order;
 }
 
 bool ParallelRunner::PartitionEligible(size_t partition, double* rank) {
@@ -1481,9 +1474,12 @@ void ParallelRunner::RunRounds() {
     };
 
     if (options_.mode == ExecutionMode::kSync) {
-      // Two-phase with explicit barriers (paper §V-E, Fig. 3 top).
+      // Two-phase with explicit barriers (paper §V-E, Fig. 3 top). State
+      // is frozen between barriers, so each phase dispatches only the
+      // partitions with work; the skip rule decides on the master.
       barrier_phase([&] {
         for (size_t k = 0; k < partitions_; ++k) {
+          if (SkipCleanCompute(k)) continue;
           pool.Submit([&run_task, k](size_t worker) {
             TaskSpec spec;
             spec.partition = k;
@@ -1494,6 +1490,7 @@ void ParallelRunner::RunRounds() {
       });
       barrier_phase([&] {
         for (size_t k = 0; k < partitions_; ++k) {
+          if (SkipIdleGather(k)) continue;
           pool.Submit([&run_task, k](size_t worker) {
             TaskSpec spec;
             spec.partition = k;
@@ -1503,18 +1500,16 @@ void ParallelRunner::RunRounds() {
         }
       });
     } else if (!continuous_priority) {
-      // Async: Gather then Compute per partition, no barrier between
-      // partitions (paper §V-E, Fig. 3 bottom).
-      const RefreshMode refresh = options_.mode == ExecutionMode::kAsyncPriority
-                                      ? RefreshMode::kAlways
-                                      : RefreshMode::kNone;
-      for (const size_t k : PartitionOrderForRound()) {
-        pool.Submit([&run_task, k, refresh](size_t worker) {
+      // Async (and AsyncP without a priority query): Gather then Compute
+      // per partition, no barrier between partitions (paper §V-E, Fig. 3
+      // bottom). Each task applies the skip rule itself, so a partition a
+      // Gather just changed computes in the same task.
+      for (size_t k = 0; k < partitions_; ++k) {
+        pool.Submit([&run_task, k](size_t worker) {
           TaskSpec spec;
           spec.partition = k;
           spec.do_gather = true;
           spec.do_compute = true;
-          spec.refresh = refresh;
           run_task(worker, std::move(spec));
         });
       }
@@ -1579,13 +1574,11 @@ void ParallelRunner::RunRounds() {
         const size_t k = static_cast<size_t>(best);
         pool.Submit([&run_task, k, &sched_mutex, &sched_cv, &running,
                      &in_flight](size_t worker) {
-          // kIfProductive: an unchanged partition keeps its previous
-          // priority; only re-measure when the pair actually moved data.
           TaskSpec spec;
           spec.partition = k;
           spec.do_gather = true;
           spec.do_compute = true;
-          spec.refresh = RefreshMode::kIfProductive;
+          spec.refresh_priority = true;
           run_task(worker, std::move(spec));
           const std::scoped_lock lock(sched_mutex);
           running[k] = 0;
@@ -1601,10 +1594,11 @@ void ParallelRunner::RunRounds() {
       // Drain before the starvation check: an abandoned pair the master
       // re-runs may still produce updates this window.
       DrainAbandoned();
-      // Account partitions with no productive work as skipped (§V-E).
+      // A partition left with no productive work sits the window out
+      // (§V-E): it counts as one skipped task.
       for (size_t k = 0; k < partitions_; ++k) {
         double rank;
-        if (!PartitionEligible(k, &rank)) ++stats_.skipped_tasks;
+        if (!PartitionEligible(k, &rank)) skipped_tasks_.fetch_add(1);
       }
       if (starved && round_updates_.load() == 0) {
         // Nothing can make progress anymore: quiesced. Check Tc once and
@@ -1724,6 +1718,7 @@ dbc::ResultSet ParallelRunner::Run() {
     stats_.parallelized = true;
     stats_.compute_tasks = compute_tasks_.load();
     stats_.gather_tasks = gather_tasks_.load();
+    stats_.skipped_tasks = skipped_tasks_.load();
     stats_.message_tables = message_count_.load();
     stats_.seconds = watch.ElapsedSeconds();
 

@@ -52,13 +52,6 @@ class ParallelRunner {
     uint64_t seq = 0;  // 0 = no attempt has stamped rows yet
   };
 
-  /// Whether a finished Compute/Gather pair re-measures its priority.
-  enum class RefreshMode {
-    kNone,
-    kAlways,        // Async under AsyncP mode: refresh unconditionally
-    kIfProductive,  // AsyncP continuous: refresh only if the pair moved data
-  };
-
   /// One unit of schedulable work plus its progress. A spec survives its
   /// worker: when a worker exhausts its retry budget the spec — with the
   /// completed pieces already cleared — moves to `abandoned_` and the
@@ -67,8 +60,10 @@ class ParallelRunner {
     size_t partition = 0;
     bool do_gather = false;
     bool do_compute = false;
-    RefreshMode refresh = RefreshMode::kNone;
-    uint64_t updates = 0;  // accumulated across pieces (feeds kIfProductive)
+    /// AsyncP: re-measure the priority once the pair is done, if it moved
+    /// data; an unproductive pair clears it instead.
+    bool refresh_priority = false;
+    uint64_t updates = 0;  // accumulated across pieces (feeds the refresh)
     int bounces = 0;       // rebalance hops off retired workers (bounded)
     ComputeAttempt compute;
   };
@@ -121,6 +116,14 @@ class ParallelRunner {
   uint64_t RunCompute(size_t partition, dbc::Connection& conn,
                       ComputeAttempt& attempt);
   uint64_t RunGather(size_t partition, dbc::Connection& conn);
+  /// The skip rule (DESIGN.md "Execution-model notes"): a task with no
+  /// work is not run, emits no TaskSpan and counts in skipped_tasks. A
+  /// Gather is idle when no source addressed an unread batch to its
+  /// partition; skipping it consumes the empty window. A Compute is idle
+  /// when the CTE allows it (CteAnalysis::skip_clean_computes) and no
+  /// Gather changed the partition since its last Compute.
+  bool SkipIdleGather(size_t partition);
+  bool SkipCleanCompute(size_t partition);
   /// Task wrappers: time the task into the per-round accumulators and emit
   /// a TaskSpan (telemetry-enabled builds only).
   uint64_t TimedCompute(size_t partition, dbc::Connection& conn,
@@ -157,7 +160,6 @@ class ParallelRunner {
 
   // --- scheduling (§V-E) --------------------------------------------------
   void RunRounds();
-  std::vector<size_t> PartitionOrderForRound();
   void RefreshPriority(size_t partition, dbc::Connection& conn);
   /// True if the partition currently has productive work: a usable
   /// priority, pending messages addressed to it, or no measurement yet.
@@ -240,6 +242,10 @@ class ParallelRunner {
   std::vector<uint64_t> published_;  // per source: highest visible seq
   std::vector<uint64_t> watermark_;  // highest seq the target consumed
   std::vector<uint64_t> addressed_;  // highest published seq addressing it
+  // Per partition: a Gather changed a row since its last Compute finished
+  // (or the run just seeded or restored it). Only the partition's own
+  // task writes its flag outside round borders.
+  std::vector<uint8_t> pending_;
   // Master-only GC state, per source: seqs already removed, and rows
   // DELETE left as tombstones (their payload stays until the table is
   // cleared, so compaction copies the survivors once enough pile up).
@@ -265,6 +271,7 @@ class ParallelRunner {
   std::atomic<uint64_t> messages_consumed_{0};
   std::atomic<uint64_t> compute_ns_{0};
   std::atomic<uint64_t> gather_ns_{0};
+  std::atomic<uint64_t> skipped_tasks_{0};
   std::atomic<int64_t> current_round_{0};  // read by workers for span.round
   uint64_t prev_compute_tasks_ = 0;
   uint64_t prev_gather_tasks_ = 0;

@@ -92,8 +92,8 @@ class LockSet {
 /// expanded to their underlying tables; CTE names are excluded).
 class TableCollector {
  public:
-  /// Cores in `skip` contribute no tables (they are answered without a
-  /// scan, see Executor::FindEmptyCores).
+  /// Cores in `skip` contribute no tables (range cores, which an
+  /// execution may answer without reading their table).
   explicit TableCollector(
       const Database& db,
       const std::unordered_set<const sql::SelectCore*>* skip = nullptr)
@@ -165,11 +165,16 @@ enum class LockPhase { kAll, kReads, kWrites };
 
 /// Turns a lock plan back into lock requests against the live catalog.
 /// Names are re-resolved here, so plans survive drop/recreate cycles.
+/// `needed` (from Executor::PruneRangeCores), when set, drops the entries
+/// only this execution's empty range cores read.
 void ApplyLockPlan(LockSet& locks, const Database& db, const LockPlan& plan,
-                   LockPhase phase = LockPhase::kAll) {
-  for (const auto& [name, write] : plan.entries) {
+                   LockPhase phase = LockPhase::kAll,
+                   const std::vector<uint8_t>* needed = nullptr) {
+  for (size_t i = 0; i < plan.entries.size(); ++i) {
+    const auto& [name, write] = plan.entries[i];
     if (phase == LockPhase::kReads && write) continue;
     if (phase == LockPhase::kWrites && !write) continue;
+    if (needed != nullptr && (*needed)[i] == 0) continue;
     locks.Request(db.FindTable(name), write);
   }
 }
@@ -300,49 +305,197 @@ void SplitConjuncts(const sql::Expr& expr, std::vector<const sql::Expr*>& out) {
   out.push_back(&expr);
 }
 
-/// True when two conjuncts bound one column from both sides by numeric
-/// literals that admit no value (`c > 5 AND c <= 5`) — e.g. a message-
-/// outbox arm whose bound seq window is empty.
-bool HasEmptyRange(const std::vector<const sql::Expr*>& conjuncts) {
-  struct Bound {
-    const sql::Expr* column;
-    const Value* value;
-    bool lower;
-    bool strict;
+/// Pre-order walk over every SELECT core of `select` and of the
+/// subqueries in its FROM trees: the order RangeCore::ordinal counts in,
+/// identical for every clone of one AST.
+using CoreVisitor =
+    FunctionRef<void(const sql::SelectStmt&, const sql::SelectCore&)>;
+void ForEachCore(const sql::SelectStmt& select, CoreVisitor fn);
+void ForEachCoreIn(const sql::TableRef& ref, CoreVisitor fn) {
+  if (ref.kind == sql::TableRefKind::kSubquery) {
+    ForEachCore(*ref.subquery, fn);
+  } else if (ref.kind == sql::TableRefKind::kJoin) {
+    ForEachCoreIn(*ref.left, fn);
+    ForEachCoreIn(*ref.right, fn);
+  }
+}
+void ForEachCore(const sql::SelectStmt& select, CoreVisitor fn) {
+  for (const auto& core : select.cores) {
+    fn(select, core);
+    if (core.from) ForEachCoreIn(*core.from, fn);
+  }
+}
+
+/// The value side of a range-core conjunct (`col <op> v` or `v <op> col`).
+const sql::Expr& ComparedValue(const sql::Expr& conjunct) {
+  return conjunct.left->kind == sql::ExprKind::kColumnRef ? *conjunct.right
+                                                          : *conjunct.left;
+}
+
+bool IsStrictComparison(sql::BinaryOp op) {
+  return op == sql::BinaryOp::kGreater || op == sql::BinaryOp::kLess;
+}
+
+/// Bind-time half of the range proof (see RangeCore): whether `core`, a
+/// core of `owner`, qualifies under `db`'s catalog. Fills `out->windows`
+/// and the folded name of the table it reads.
+bool AnalyzeRangeCore(const Database& db, const sql::SelectStmt& owner,
+                      const sql::SelectCore& core, RangeCore* out,
+                      std::string* table_name) {
+  // A single core sorted by the statement evaluates ORDER BY inside it.
+  if (!core.where || !core.from ||
+      core.from->kind != sql::TableRefKind::kBase || !core.group_by.empty() ||
+      core.having != nullptr ||
+      (owner.cores.size() == 1 && !owner.order_by.empty())) {
+    return false;
+  }
+  const std::string name = FoldIdentifier(core.from->table_name);
+  if (db.HasView(name)) return false;
+  const auto table = db.FindTable(name);
+  if (!table) return false;  // the regular paths report the error
+  const Schema& schema = table->schema();
+  const std::string alias = FoldIdentifier(core.from->alias);
+  const auto column_of = [&](const sql::Expr& e) {
+    if (e.kind != sql::ExprKind::kColumnRef ||
+        (!e.qualifier.empty() && FoldIdentifier(e.qualifier) != alias)) {
+      return -1;
+    }
+    return schema.FindColumn(FoldIdentifier(e.column));
   };
+  // Every output column resolves, so skipping the core hides no error
+  // the full evaluation would raise before its first row.
+  for (const auto& item : core.items) {
+    if (item.expr->kind == sql::ExprKind::kStar ||
+        ContainsAggregate(*item.expr)) {
+      return false;
+    }
+    bool resolves = true;
+    sql::VisitExpr(*item.expr, [&](const sql::Expr& e) {
+      if (e.kind == sql::ExprKind::kColumnRef && column_of(e) < 0) {
+        resolves = false;
+      }
+    });
+    if (!resolves) return false;
+  }
+  struct Bound {
+    int column;
+    bool lower;
+    bool upper;
+  };
+  std::vector<const sql::Expr*> conjuncts;
+  SplitConjuncts(*core.where, conjuncts);
   std::vector<Bound> bounds;
   for (const sql::Expr* c : conjuncts) {
-    if (c->kind != sql::ExprKind::kBinary) continue;
-    const sql::BinaryOp op = c->binary_op;
-    const bool greater =
-        op == sql::BinaryOp::kGreater || op == sql::BinaryOp::kGreaterEq;
-    const bool less =
-        op == sql::BinaryOp::kLess || op == sql::BinaryOp::kLessEq;
-    if (!greater && !less) continue;
-    const bool strict =
-        op == sql::BinaryOp::kGreater || op == sql::BinaryOp::kLess;
-    const auto is_number = [](const sql::Expr& e) {
-      return e.kind == sql::ExprKind::kLiteral && e.literal.is_numeric();
-    };
-    if (c->left->kind == sql::ExprKind::kColumnRef && is_number(*c->right)) {
-      bounds.push_back({c->left.get(), &c->right->literal, greater, strict});
-    } else if (c->right->kind == sql::ExprKind::kColumnRef &&
-               is_number(*c->left)) {
-      bounds.push_back({c->right.get(), &c->left->literal, less, strict});
+    if (c->kind != sql::ExprKind::kBinary) return false;
+    const int left = column_of(*c->left);
+    const int right = column_of(*c->right);
+    if ((left >= 0) == (right >= 0)) return false;
+    const int column = left >= 0 ? left : right;
+    const ValueType type = schema.columns()[static_cast<size_t>(column)].type;
+    if (type != ValueType::kInt64 && type != ValueType::kDouble) return false;
+    const sql::Expr& value = left >= 0 ? *c->right : *c->left;
+    const bool bindable =
+        value.kind == sql::ExprKind::kParameter ||
+        (value.kind == sql::ExprKind::kLiteral &&
+         (value.literal.is_numeric() || value.literal.is_null()));
+    if (!bindable) return false;
+    // Orient as `col <op> v`.
+    bool greater = false;
+    bool less = false;
+    switch (c->binary_op) {
+      case sql::BinaryOp::kEq:
+        greater = less = true;
+        break;
+      case sql::BinaryOp::kNotEq:
+        break;
+      case sql::BinaryOp::kGreater:
+      case sql::BinaryOp::kGreaterEq:
+        (left >= 0 ? greater : less) = true;
+        break;
+      case sql::BinaryOp::kLess:
+      case sql::BinaryOp::kLessEq:
+        (left >= 0 ? less : greater) = true;
+        break;
+      default:
+        return false;
+    }
+    bounds.push_back({column, greater, less});
+  }
+  out->windows.clear();
+  for (size_t lo = 0; lo < bounds.size(); ++lo) {
+    for (size_t hi = 0; hi < bounds.size(); ++hi) {
+      if (lo != hi && bounds[lo].lower && bounds[hi].upper &&
+          bounds[lo].column == bounds[hi].column) {
+        out->windows.emplace_back(static_cast<uint32_t>(lo),
+                                  static_cast<uint32_t>(hi));
+      }
     }
   }
-  for (const Bound& low : bounds) {
-    if (!low.lower) continue;
-    for (const Bound& high : bounds) {
-      if (high.lower ||
-          FoldIdentifier(low.column->column) !=
-              FoldIdentifier(high.column->column) ||
-          FoldIdentifier(low.column->qualifier) !=
-              FoldIdentifier(high.column->qualifier)) {
-        continue;
-      }
-      const int cmp = Value::Compare(*low.value, *high.value);
-      if (cmp > 0 || (cmp == 0 && (low.strict || high.strict))) return true;
+  *table_name = name;
+  return !out->windows.empty();
+}
+
+/// Fills `plan.range_cores` and `plan.pinned` for `select`, the source of
+/// a statement whose tables `plan.entries` already lists.
+void BuildRangeCores(const Database& db, const sql::SelectStmt& select,
+                     LockPlan& plan) {
+  // The reference pipeline evaluates every core: it is the oracle the
+  // pruning is checked against.
+  if (db.select_engine() != SelectEngine::kBatch) return;
+  std::unordered_set<const sql::SelectCore*> range_cores;
+  uint32_t ordinal = 0;
+  ForEachCore(select, [&](const sql::SelectStmt& owner,
+                          const sql::SelectCore& core) {
+    const uint32_t position = ordinal++;
+    RangeCore range;
+    std::string table;
+    if (!AnalyzeRangeCore(db, owner, core, &range, &table)) return;
+    const auto entry =
+        std::find_if(plan.entries.begin(), plan.entries.end(),
+                     [&](const auto& e) { return e.first == table; });
+    // A table the lock walk did not list (a concurrent view/table swap
+    // under one name) is never pruned.
+    if (entry == plan.entries.end()) return;
+    range.ordinal = position;
+    range.lock_entry = static_cast<uint32_t>(entry - plan.entries.begin());
+    plan.range_cores.push_back(std::move(range));
+    range_cores.insert(&core);
+  });
+  if (plan.range_cores.empty()) return;
+  TableCollector others(db, &range_cores);
+  others.FromSelect(select, {});
+  plan.pinned.reserve(plan.entries.size());
+  for (const auto& [name, write] : plan.entries) {
+    plan.pinned.push_back(write || others.Reads(name) ? 1 : 0);
+  }
+}
+
+/// Execution half of the range proof: with every `?` bound, `core`'s
+/// window admits no value. A TEXT value may raise an error per row, so it
+/// leaves the core to the full evaluation.
+bool RangeCoreEmpty(const sql::SelectCore& core, const RangeCore& range,
+                    std::vector<const sql::Expr*>& conjuncts) {
+  conjuncts.clear();
+  SplitConjuncts(*core.where, conjuncts);
+  bool compares_null = false;
+  for (const sql::Expr* c : conjuncts) {
+    const sql::Expr& value = ComparedValue(*c);
+    if (value.kind != sql::ExprKind::kLiteral) return false;
+    if (value.literal.is_null()) {
+      compares_null = true;
+    } else if (!value.literal.is_numeric()) {
+      return false;
+    }
+  }
+  if (compares_null) return true;  // `col <op> NULL` holds for no row
+  for (const auto& [lo, hi] : range.windows) {
+    const sql::Expr& low = *conjuncts[lo];
+    const sql::Expr& high = *conjuncts[hi];
+    const int cmp =
+        Value::Compare(ComparedValue(low).literal, ComparedValue(high).literal);
+    if (cmp > 0 || (cmp == 0 && (IsStrictComparison(low.binary_op) ||
+                                 IsStrictComparison(high.binary_op)))) {
+      return true;
     }
   }
   return false;
@@ -1611,60 +1764,33 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
   return true;
 }
 
-bool Executor::IsEmptyRangeCore(const sql::SelectCore& core,
-                                const ExecContext& ctx) const {
-  if (!core.where || !core.from ||
-      core.from->kind != sql::TableRefKind::kBase || !core.group_by.empty() ||
-      core.having != nullptr) {
-    return false;
+const std::vector<uint8_t>* Executor::PruneRangeCores(
+    const sql::SelectStmt& select, const LockPlan& plan, ExecContext& ctx) {
+  if (plan.range_cores.empty() ||
+      plan.catalog_version != db_.catalog_version()) {
+    return nullptr;
   }
-  std::vector<const sql::Expr*> conjuncts;
-  SplitConjuncts(*core.where, conjuncts);
-  if (conjuncts.size() < 2 || !HasEmptyRange(conjuncts)) return false;
-  const std::string name = FoldIdentifier(core.from->table_name);
-  if (ctx.cte_bindings.contains(name) || db_.HasView(name)) return false;
-  const auto table = db_.FindTable(name);
-  if (!table) return false;  // the regular paths report the error
-  for (const auto& item : core.items) {
-    if (item.expr->kind == sql::ExprKind::kStar ||
-        ContainsAggregate(*item.expr)) {
-      return false;
-    }
-  }
-  // Only when every conjunct is total over this table: then no row could
-  // raise an error either path would surface, and nothing is skipped but
-  // rows the predicate rejects. (A table's schema never changes while
-  // the table exists, so this holds without its lock.)
-  const std::string alias = FoldIdentifier(core.from->alias);
-  PredicateKernel kernel;
-  for (const sql::Expr* conjunct : conjuncts) {
-    if (!CompilePredicateKernel(*conjunct, table->schema(), alias, &kernel)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void Executor::FindEmptyCores(const sql::SelectStmt& select,
-                              ExecContext& ctx) const {
-  for (const auto& core : select.cores) {
-    if (IsEmptyRangeCore(core, ctx)) {
-      ctx.empty_cores.insert(&core);
-      continue;
-    }
-    std::vector<const sql::TableRef*> refs;
-    if (core.from) refs.push_back(core.from.get());
-    while (!refs.empty()) {
-      const sql::TableRef* ref = refs.back();
-      refs.pop_back();
-      if (ref->kind == sql::TableRefKind::kSubquery) {
-        FindEmptyCores(*ref->subquery, ctx);
-      } else if (ref->kind == sql::TableRefKind::kJoin) {
-        refs.push_back(ref->left.get());
-        refs.push_back(ref->right.get());
+  lock_needed_.assign(plan.pinned.begin(), plan.pinned.end());
+  uint32_t ordinal = 0;
+  size_t next = 0;
+  ForEachCore(select, [&](const sql::SelectStmt&,
+                          const sql::SelectCore& core) {
+    if (next < plan.range_cores.size() &&
+        plan.range_cores[next].ordinal == ordinal) {
+      const RangeCore& range = plan.range_cores[next++];
+      if (RangeCoreEmpty(core, range, conjunct_scratch_)) {
+        ctx.empty_cores.push_back(&core);
+      } else {
+        lock_needed_[range.lock_entry] = 1;
       }
     }
-  }
+    ++ordinal;
+  });
+  if (ctx.empty_cores.empty()) return nullptr;
+  std::sort(ctx.empty_cores.begin(), ctx.empty_cores.end(),
+            std::less<const sql::SelectCore*>());
+  counters_.pruned_cores += ctx.empty_cores.size();
+  return &lock_needed_;
 }
 
 Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
@@ -1681,13 +1807,6 @@ Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
   }
 
   Relation out;
-  if (ctx.empty_cores.contains(&core)) {
-    out.columns.reserve(core.items.size());
-    for (size_t i = 0; i < core.items.size(); ++i) {
-      out.columns.push_back({"", OutputName(core.items[i], i)});
-    }
-    return out;
-  }
   if (db_.select_engine() != SelectEngine::kBatch ||
       !EvalBatchCore(core, ctx, aggregate_mode, order_by, sort_keys, &out)) {
     out = EvalCoreReference(core, ctx, aggregate_mode, order_by, sort_keys);
@@ -1827,15 +1946,33 @@ ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx) {
   const bool single_core_sort =
       stmt.cores.size() == 1 && !stmt.order_by.empty();
   std::vector<Row> sort_keys;
-  Relation combined =
-      EvalCore(stmt.cores[0], ctx, single_core_sort ? &stmt.order_by : nullptr,
-               single_core_sort ? &sort_keys : nullptr);
+  // Arms PruneRangeCores proved empty contribute their width and no rows.
+  const auto pruned = [&ctx](const sql::SelectCore& core) {
+    return std::binary_search(ctx.empty_cores.begin(), ctx.empty_cores.end(),
+                              &core, std::less<const sql::SelectCore*>());
+  };
+  Relation combined;
+  if (pruned(stmt.cores[0])) {
+    const sql::SelectCore& core = stmt.cores[0];
+    combined.columns.reserve(core.items.size());
+    for (size_t i = 0; i < core.items.size(); ++i) {
+      combined.columns.push_back({"", OutputName(core.items[i], i)});
+    }
+  } else {
+    combined = EvalCore(stmt.cores[0], ctx,
+                        single_core_sort ? &stmt.order_by : nullptr,
+                        single_core_sort ? &sort_keys : nullptr);
+  }
   for (size_t i = 1; i < stmt.cores.size(); ++i) {
-    Relation next = EvalCore(stmt.cores[i], ctx);
-    if (next.columns.size() != combined.columns.size()) {
+    Relation next;
+    const bool skip = pruned(stmt.cores[i]);
+    if (!skip) next = EvalCore(stmt.cores[i], ctx);
+    const size_t width =
+        skip ? stmt.cores[i].items.size() : next.columns.size();
+    if (width != combined.columns.size()) {
       throw AnalysisError("UNION arms have different column counts (" +
                           std::to_string(combined.columns.size()) + " vs " +
-                          std::to_string(next.columns.size()) + ")");
+                          std::to_string(width) + ")");
     }
     combined.rows.insert(combined.rows.end(),
                          std::make_move_iterator(next.rows.begin()),
@@ -2398,6 +2535,9 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
     SQLOOP_COUNT(recorder_, "minidb.scalar_fallbacks",
                  counters_.scalar_fallbacks);
   }
+  if (counters_.pruned_cores != 0) {
+    SQLOOP_COUNT(recorder_, "minidb.pruned_cores", counters_.pruned_cores);
+  }
   // Buffer-pool deltas: the pool's counters are pool-lifetime, so each
   // statement flushes only what it moved. Unbounded pools never pin or
   // evict — skip the stats lock entirely.
@@ -2422,11 +2562,13 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
 
 LockPlan Executor::BuildLockPlan(const sql::Statement& stmt) const {
   LockPlan plan;
+  plan.catalog_version = db_.catalog_version();
   switch (stmt.kind) {
     case sql::StatementKind::kSelect: {
       TableCollector collector(db_);
       collector.FromSelect(*stmt.select, {});
       collector.Collect(plan, {});
+      BuildRangeCores(db_, *stmt.select, plan);
       break;
     }
     case sql::StatementKind::kWith: {
@@ -2447,6 +2589,9 @@ LockPlan Executor::BuildLockPlan(const sql::Statement& stmt) const {
       const std::string target = FoldIdentifier(stmt.table_name);
       collector.Collect(plan, {target});
       plan.phased = stmt.insert_select != nullptr && !collector.Reads(target);
+      // Only the phased path evaluates its source here, under a narrowed
+      // read lock set; ExecInsert evaluates the others itself.
+      if (plan.phased) BuildRangeCores(db_, *stmt.insert_select, plan);
       break;
     }
     case sql::StatementKind::kUpdate: {
@@ -2479,7 +2624,8 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
   switch (stmt.kind) {
     case sql::StatementKind::kSelect: {
       LockSet locks(recorder_);
-      ApplyLockPlan(locks, db_, plan);
+      ApplyLockPlan(locks, db_, plan, LockPhase::kAll,
+                    PruneRangeCores(*stmt.select, plan, ctx));
       locks.AcquireAll();
       return EvalSelect(*stmt.select, ctx);
     }
@@ -2559,17 +2705,8 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
         std::vector<Row> selected;
         {
           LockSet reads(recorder_);
-          FindEmptyCores(*stmt.insert_select, ctx);
-          if (ctx.empty_cores.empty()) {
-            ApplyLockPlan(reads, db_, plan, LockPhase::kReads);
-          } else {
-            // Tables only empty cores read need no lock at all.
-            TableCollector collector(db_, &ctx.empty_cores);
-            collector.FromSelect(*stmt.insert_select, {});
-            LockPlan narrowed;
-            collector.Collect(narrowed, {});
-            ApplyLockPlan(reads, db_, narrowed);
-          }
+          ApplyLockPlan(reads, db_, plan, LockPhase::kReads,
+                        PruneRangeCores(*stmt.insert_select, plan, ctx));
           reads.AcquireAll();
           selected = SelectForInsert(stmt, ctx);
         }

@@ -107,6 +107,7 @@ class Executor {
     size_t vectorized_cores = 0;   // SELECT cores run on the batch engine
     size_t scalar_fallbacks = 0;   // conjuncts/aggregates evaluated
                                    // per lane instead of kernelized
+    size_t pruned_cores = 0;       // range cores answered without a scan
   };
   const EngineCounters& last_engine_counters() const noexcept {
     return counters_;
@@ -171,9 +172,10 @@ class Executor {
   struct ExecContext {
     // CTE name (folded) -> materialized relation visible to the query.
     std::unordered_map<std::string, const Relation*> cte_bindings;
-    // Cores FindEmptyCores proved empty before the locks were taken:
-    // answered without a scan, their tables never locked.
-    std::unordered_set<const sql::SelectCore*> empty_cores;
+    // Range cores PruneRangeCores proved empty before the locks were
+    // taken, sorted by address: answered without a scan, their tables
+    // locked only if something else reads them.
+    std::vector<const sql::SelectCore*> empty_cores;
   };
 
   /// Everything PrepareJoin resolves before a join runs: evaluated (or
@@ -227,16 +229,15 @@ class Executor {
                      bool aggregate_mode,
                      const std::vector<sql::OrderItem>* order_by,
                      std::vector<Row>* sort_keys, Relation* out);
-  /// True for a single-table, non-aggregate core whose WHERE bounds a
-  /// column to an empty literal range (`c > 5 AND c <= 5`) and whose
-  /// conjuncts are all total: it returns no rows, whatever its table holds.
-  bool IsEmptyRangeCore(const sql::SelectCore& core,
-                        const ExecContext& ctx) const;
-  /// Collects every such core of `select`, nested FROM subqueries
-  /// included, into ctx.empty_cores. A phased read (LockPlan::phased) runs
-  /// it before locking, so a Gather's idle outbox arms neither scan nor
-  /// lock their outboxes.
-  void FindEmptyCores(const sql::SelectStmt& select, ExecContext& ctx) const;
+  /// Checks the bound window of each of `plan`'s range cores in `select`
+  /// (a SELECT or a phased INSERT's source) and collects the empty ones
+  /// into ctx.empty_cores, so a Gather's idle outbox arms neither scan nor
+  /// lock their outboxes. Returns the per-entry lock mask to acquire, or
+  /// null when nothing was pruned (or the catalog moved since the plan was
+  /// bound). No catalog lookup: the plan carries the bind-time proof.
+  const std::vector<uint8_t>* PruneRangeCores(const sql::SelectStmt& select,
+                                              const LockPlan& plan,
+                                              ExecContext& ctx);
   /// A base-table scan's access path, chosen per execution against the
   /// live catalog: the scan's column bindings, a predicate kernel for each
   /// pushed conjunct whose shape compiles (`compiled[i]` set), and the
@@ -381,6 +382,10 @@ class Executor {
   // Scratch buffer for index probes, reused across probes and statements
   // so the steady-state batch engine allocates nothing per probe.
   std::vector<size_t> probe_ids_;
+  // PruneRangeCores scratch: the lock mask it returns and a core's
+  // conjuncts, reused across statements.
+  std::vector<uint8_t> lock_needed_;
+  std::vector<const sql::Expr*> conjunct_scratch_;
   // Batch-pipeline scratch (lanes, aggregate-feed buffers, per-lane
   // fallback bytemap), reused across batches and statements so the
   // steady-state batch engine allocates nothing per batch. Only one

@@ -6,10 +6,11 @@
 // parse plus a lock set, with different lifetimes:
 //   * the parsed AST — a pure function of the text, shared immutably and
 //     never invalidated;
-//   * the bound lock plan (base tables to lock, views expanded) — valid
-//     only for the catalog version it was computed under. Any DDL
-//     (including index DDL) bumps Database::catalog_version(), and the
-//     next lookup re-binds it from the cached AST without re-parsing.
+//   * the bound lock plan (base tables to lock, views expanded, and the
+//     SELECT cores a bound range can prove empty) — valid only for the
+//     catalog version it was computed under. Any DDL (including index
+//     DDL) bumps Database::catalog_version(), and the next lookup re-binds
+//     it from the cached AST without re-parsing.
 // Name resolution and access-path choice (index probe or full scan,
 // predicate kernels) happen at execution time against the live catalog,
 // so a cached plan can never read a dropped index.
@@ -30,6 +31,24 @@
 
 namespace sqloop::minidb {
 
+/// A SELECT core whose bound values alone can prove it returns no rows:
+/// it reads one base table, has no aggregate, `*`, GROUP BY or HAVING,
+/// every WHERE conjunct compares a numeric column with a literal or `?`,
+/// and some column is bounded from both sides. Such a conjunct never
+/// raises an error for a numeric or NULL value, so an execution whose
+/// bound window admits no value answers the core without reading (or
+/// locking) its table — e.g. a Gather's idle outbox arm, `seq > 7 AND
+/// seq <= 7`. Identified by position, not pointer: every prepared handle
+/// executes its own clone of the AST.
+struct RangeCore {
+  /// Position in the statement's pre-order core walk (ForEachCore).
+  uint32_t ordinal = 0;
+  /// Index into LockPlan::entries of the table the core reads.
+  uint32_t lock_entry = 0;
+  /// (lower, upper) WHERE-conjunct ordinals bounding one column.
+  std::vector<std::pair<uint32_t, uint32_t>> windows;
+};
+
 /// The precomputed "physical" part of a plan: every base table the
 /// statement locks up front, as (folded name, needs exclusive lock).
 /// Table pointers are re-resolved at acquisition time, so a drop/recreate
@@ -43,6 +62,13 @@ struct LockPlan {
   /// phase, so a writer never holds readers off while it computes what to
   /// write.
   bool phased = false;
+  /// The SELECT / INSERT ... SELECT source's range cores in walk order,
+  /// and per entry whether it is locked whatever their windows (written,
+  /// or read by anything but a range core). Column types are part of the
+  /// proof, so both hold only under `catalog_version`.
+  std::vector<RangeCore> range_cores;
+  std::vector<uint8_t> pinned;
+  uint64_t catalog_version = 0;
 };
 
 /// One compiled statement: immutable AST plus the lock plan bound under

@@ -136,7 +136,7 @@ void WriteJsonLines(const Recorder& recorder, std::ostream& out) {
         << ",\"barrier_wait_seconds\":" << Num(it.barrier_wait_seconds)
         << ",\"messages_produced\":" << it.messages_produced
         << ",\"messages_consumed\":" << it.messages_consumed
-        << ",\"partitions_skipped\":" << it.partitions_skipped
+        << ",\"skipped_tasks\":" << it.skipped_tasks
         << ",\"seconds\":" << Num(it.seconds) << "}\n";
   }
   for (const auto& span : recorder.SpansSnapshot()) {
@@ -194,7 +194,7 @@ size_t ReadJsonLines(std::istream& in, Recorder& into) {
       FindDouble(line, "barrier_wait_seconds", &it.barrier_wait_seconds);
       FindUint(line, "messages_produced", &it.messages_produced);
       FindUint(line, "messages_consumed", &it.messages_consumed);
-      FindUint(line, "partitions_skipped", &it.partitions_skipped);
+      FindUint(line, "skipped_tasks", &it.skipped_tasks);
       FindDouble(line, "seconds", &it.seconds);
       into.RecordIteration(it);
     } else if (type == "span") {
@@ -267,7 +267,7 @@ std::string Summary(const Recorder& recorder) {
                     it.barrier_wait_seconds,
                     static_cast<unsigned long long>(it.messages_produced),
                     static_cast<unsigned long long>(it.messages_consumed),
-                    static_cast<unsigned long long>(it.partitions_skipped),
+                    static_cast<unsigned long long>(it.skipped_tasks),
                     it.seconds);
       out << line;
     }

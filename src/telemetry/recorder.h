@@ -39,7 +39,7 @@ struct IterationStats {
   double barrier_wait_seconds = 0; // aggregate worker idle at Sync barriers
   uint64_t messages_produced = 0;  // message batches published this round
   uint64_t messages_consumed = 0;  // message batches read by Gathers
-  uint64_t partitions_skipped = 0; // AsyncP partitions skipped as idle
+  uint64_t skipped_tasks = 0;      // tasks not run for lack of work
   double seconds = 0;              // wall time of the whole round
 };
 

@@ -198,6 +198,40 @@ TEST(RecoveryTest, SsspResumesBitIdenticalMultiThreaded) {
   }
 }
 
+TEST(RecoveryTest, SyncSsspThatSkipsComputesResumesBitIdentical) {
+  // Once the frontier narrows, Sync SSSP sits clean partitions' Computes
+  // out. A resume marks every partition pending again; the Computes it
+  // then runs on clean partitions are no-ops, so the resumed run converges
+  // bit-identically, in as many rounds.
+  const graph::Graph g = graph::MakeEgoNetGraph(6, 12, 0.25, 5);
+  const std::string query = workloads::SsspAllQuery(1);
+  const RunStats probe = [&] {
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqLoop loop(fixture.Url(), BaseOptions(ExecutionMode::kSync, 3));
+    loop.Execute(query);
+    return loop.last_run();
+  }();
+  // Kill one round after the first round that skipped a Compute.
+  int64_t first_skip = 0;
+  for (const auto& round : probe.per_iteration()) {
+    if (round.compute_tasks < 8) {
+      first_skip = round.round;
+      break;
+    }
+  }
+  ASSERT_GT(first_skip, 0);
+  const int64_t kill_round = first_skip + 1;
+  ASSERT_LT(kill_round, probe.iterations);
+  const auto r = KillThenResume(g, query, ExecutionMode::kSync,
+                                /*threads=*/3, kill_round);
+  EXPECT_EQ(r.clean, r.resumed);
+  EXPECT_GT(r.clean_stats.skipped_tasks, 0u);
+  EXPECT_EQ(r.resume_stats.resumed_from_round, kill_round - 1);
+  EXPECT_EQ(r.resume_stats.iterations, r.clean_stats.iterations);
+  EXPECT_GT(r.resume_stats.skipped_tasks, 0u);
+}
+
 TEST(RecoveryTest, KillBeforeFirstCheckpointFallsBackToFreshRun) {
   // Killed at the start of round 1 nothing was ever checkpointed; `resume`
   // must degrade gracefully to a fresh — and still correct — run.

@@ -232,7 +232,7 @@ TEST_F(EndToEndTest, PerIterationStatsSumToRunTotals) {
       compute += rounds[i].compute_tasks;
       gather += rounds[i].gather_tasks;
       produced += rounds[i].messages_produced;
-      skipped += rounds[i].partitions_skipped;
+      skipped += rounds[i].skipped_tasks;
       compute_s += rounds[i].compute_seconds;
       gather_s += rounds[i].gather_seconds;
     }

@@ -1,13 +1,18 @@
-// Steady-state invariant (ctest label: perf): once the first rounds have
+// Steady-state invariants (ctest label: perf). Once the first rounds have
 // compiled the round loop's fixed statements, a run issues no DDL — the
 // database's catalog_version stays put, so no cached plan is re-bound —
 // and parses nothing more. Measured per round through an observer, with
 // the plan cache's miss count standing in for the recorder's
 // sql.parse_count (every parse on the cached path is a miss; the test
-// checks the two agree over the whole run).
+// checks the two agree over the whole run). And a Sync round's cost
+// follows its frontier: it dispatches a Compute only for a partition some
+// Gather changed, counted per round.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -152,6 +157,81 @@ TEST(SteadyStateRounds, AsyncSsspParsesEachFixedTextAtMostOncePerRun) {
     EXPECT_EQ(second.probe.rounds().back().parses,
               second.probe.parses_at_start());
     EXPECT_TRUE(second.probe.CatalogStableAfterRound2());
+  }
+}
+
+/// Per round: the IterationStats, and which partitions a Gather changed
+/// (a changed partition is pending at the next round's Compute barrier).
+class PendingProbe : public ExecutionObserver {
+ public:
+  void OnTaskComplete(const telemetry::TaskSpan& span) override {
+    if (span.kind != telemetry::SpanKind::kGather || span.updates == 0) {
+      return;
+    }
+    const std::scoped_lock lock(mutex_);
+    changed_[span.round].insert(span.partition);
+  }
+  void OnRoundEnd(const telemetry::IterationStats& round) override {
+    rounds_.push_back(round);
+  }
+
+  const std::vector<telemetry::IterationStats>& rounds() const {
+    return rounds_;
+  }
+  size_t ChangedIn(int64_t round) const {
+    const auto it = changed_.find(round);
+    return it == changed_.end() ? 0 : it->second.size();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<int64_t, std::set<int64_t>> changed_;
+  std::vector<telemetry::IterationStats> rounds_;
+};
+
+TEST(SteadyStateRounds, SyncSsspComputesExactlyThePendingPartitions) {
+  const graph::Graph g = graph::MakeEgoNetGraph(6, 12, 0.25, 5);
+  CoreFixtureBase fixture("postgres");
+  fixture.LoadGraph(g);
+  SqLoop loop(fixture.Url());
+  SqloopOptions options = Options(ExecutionMode::kSync);
+  options.partitions = 8;
+  PendingProbe probe;
+  loop.set_observer(&probe);
+  loop.Execute(workloads::SsspAllQuery(1), options);
+  loop.set_observer(nullptr);
+  const auto& rounds = probe.rounds();
+  ASSERT_GE(rounds.size(), 3u);
+  // The seed makes every partition pending for round 1.
+  EXPECT_EQ(rounds.front().compute_tasks, 8u);
+#if SQLOOP_TELEMETRY_ENABLED
+  // Afterwards a round computes exactly the partitions the previous
+  // round's Gathers changed.
+  for (size_t i = 1; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i].compute_tasks, probe.ChangedIn(rounds[i - 1].round))
+        << "round " << rounds[i].round;
+  }
+#endif
+  // The quiescent last round has nothing pending: it dispatches no
+  // Compute, so nothing is sent and no Gather runs either.
+  EXPECT_EQ(rounds.back().updates, 0u);
+  EXPECT_EQ(rounds.back().compute_tasks, 0u);
+  EXPECT_EQ(rounds.back().gather_tasks, 0u);
+  EXPECT_EQ(rounds.back().skipped_tasks, 16u);
+}
+
+TEST(SteadyStateRounds, SyncPageRankComputesEveryPartitionEveryRound) {
+  const graph::Graph g = graph::MakeWebGraph(120, 3, 7);
+  CoreFixtureBase fixture("postgres");
+  fixture.LoadGraph(g);
+  SqLoop loop(fixture.Url());
+  PendingProbe probe;
+  loop.set_observer(&probe);
+  loop.Execute(workloads::PageRankQuery(6), Options(ExecutionMode::kSync));
+  loop.set_observer(nullptr);
+  ASSERT_EQ(probe.rounds().size(), 6u);
+  for (const auto& round : probe.rounds()) {
+    EXPECT_EQ(round.compute_tasks, 4u) << "round " << round.round;
   }
 }
 

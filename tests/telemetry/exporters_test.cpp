@@ -35,7 +35,7 @@ void FillSample(Recorder& rec) {
   r2.updates = 10;
   r2.compute_tasks = 8;
   r2.gather_tasks = 8;
-  r2.partitions_skipped = 3;
+  r2.skipped_tasks = 3;
   r2.seconds = 0.5;
   rec.RecordIteration(r2);
 
@@ -79,7 +79,7 @@ TEST(ExportersTest, JsonLinesRoundTripsThroughReader) {
   EXPECT_DOUBLE_EQ(rounds[0].compute_seconds, 0.5);
   EXPECT_DOUBLE_EQ(rounds[0].barrier_wait_seconds, 0.0625);
   EXPECT_EQ(rounds[0].messages_produced, 6u);
-  EXPECT_EQ(rounds[1].partitions_skipped, 3u);
+  EXPECT_EQ(rounds[1].skipped_tasks, 3u);
   EXPECT_DOUBLE_EQ(rounds[1].seconds, 0.5);
 
   const auto spans = parsed.SpansSnapshot();
