@@ -53,6 +53,26 @@ inline double Median(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
 }
 
+/// Per-round paired overheads in percent: round r of `arm` against round r
+/// of `base` (0 where the base read 0). Arms that take turns within a
+/// round run over the same stretch of host time, so host drift cancels
+/// out of each ratio.
+inline std::vector<double> PairedOverheadsPct(const std::vector<double>& base,
+                                              const std::vector<double>& arm) {
+  std::vector<double> overheads;
+  for (size_t r = 0; r < base.size() && r < arm.size(); ++r) {
+    overheads.push_back(base[r] > 0 ? (arm[r] - base[r]) / base[r] * 100.0
+                                    : 0);
+  }
+  return overheads;
+}
+
+/// The gated figure of an A/B bench: the median paired overhead.
+inline double MedianPairedOverheadPct(const std::vector<double>& base,
+                                      const std::vector<double>& arm) {
+  return Median(PairedOverheadsPct(base, arm));
+}
+
 /// One sqlplot-tools style result line: `RESULT key=value key=value ...`.
 /// Emitted alongside the BENCH_*.json baselines so plots can be driven
 /// straight from captured stdout (sqlplot-tools IMPORT-DATA greps for the

@@ -113,13 +113,8 @@ int main(int argc, char** argv) {
     }
     for (Arm* arm : order) arm->rounds.push_back(arm->round_seconds);
   }
-  std::vector<double> round_overheads;
-  for (int64_t r = 0; r < rounds; ++r) {
-    const double base = off.rounds[static_cast<size_t>(r)];
-    round_overheads.push_back(
-        base > 0 ? (on.rounds[static_cast<size_t>(r)] - base) / base * 100.0
-                 : 0);
-  }
+  const std::vector<double> round_overheads =
+      bench::PairedOverheadsPct(off.rounds, on.rounds);
   const double off_seconds = Median(off.rounds);
   const double on_seconds = Median(on.rounds);
   const bool bit_identical = on.checksum == off.checksum;

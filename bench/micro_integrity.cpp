@@ -155,14 +155,7 @@ int main(int argc, char** argv) {
     const std::vector<double>& off_rounds = report.arms[0].rounds;
     for (Arm& arm : report.arms) {
       arm.seconds = Median(arm.rounds);
-      std::vector<double> overheads;
-      for (size_t r = 0; r < arm.rounds.size(); ++r) {
-        overheads.push_back(
-            off_rounds[r] > 0
-                ? (arm.rounds[r] - off_rounds[r]) / off_rounds[r] * 100.0
-                : 0);
-      }
-      arm.overhead_pct = Median(overheads);
+      arm.overhead_pct = bench::MedianPairedOverheadPct(off_rounds, arm.rounds);
     }
     // Integrity bookkeeping must not change the answer (exact for
     // single-thread, the repo-standard 1e-9 for Sync).

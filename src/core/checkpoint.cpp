@@ -416,8 +416,4 @@ std::optional<CheckpointManifest> RecoveryManager::FindLatestValid() const {
   return std::nullopt;
 }
 
-std::string ResolveCheckpointDir(const SqloopOptions& options) {
-  return BaseDir(options.checkpoint_dir);
-}
-
 }  // namespace sqloop::core

@@ -154,7 +154,4 @@ class RecoveryManager {
   std::string root_;
 };
 
-/// Shared by both runners: the directory that `checkpoint_dir` resolves to.
-std::string ResolveCheckpointDir(const SqloopOptions& options);
-
 }  // namespace sqloop::core

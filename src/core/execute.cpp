@@ -4,7 +4,7 @@
 #include "common/logging.h"
 #include "core/analysis.h"
 #include "core/parallel.h"
-#include "core/resilience.h"
+#include "core/round_loop.h"
 #include "core/schema_infer.h"
 #include "core/single_thread.h"
 #include "core/translator.h"
@@ -15,7 +15,7 @@ namespace sqloop::core {
 namespace {
 
 dbc::ResultSet RunIterativeOnce(const std::string& url,
-                                dbc::Connection& master,
+                                dbc::Connection& conn,
                                 const sql::WithClause& with,
                                 const SqloopOptions& effective,
                                 const ExecutionContext& ctx) {
@@ -23,6 +23,9 @@ dbc::ResultSet RunIterativeOnce(const std::string& url,
   const ExecutionContext run_ctx{effective,    stats,      ctx.recorder,
                                  ctx.observer, ctx.gate,   ctx.shared_pool,
                                  ctx.cancel,   ctx.memory};
+  // One master scope per attempt, shared by analysis-time probes and
+  // whichever runner executes.
+  ResilientConn master(conn, run_ctx);
 
   const auto fall_back = [&](const std::string& reason) {
     stats.fallback_reason = reason;
@@ -44,17 +47,11 @@ dbc::ResultSet RunIterativeOnce(const std::string& url,
     return fall_back(analysis.reason);
   }
 
-  const Translator translator = Translator::For(master);
-  // Schema inference runs before the runner's own retry machinery exists;
-  // a transient fault here must not abort the run.
-  Retrier setup_retrier(effective.retry, ctx.recorder, ctx.observer);
-  auto schema = setup_retrier.Run(master, "setup", -1, [&] {
-    return InferSchemaFromSelect(master, translator, *with.seed, with.columns,
+  const Translator translator = Translator::For(conn);
+  auto schema = master.retrier().Run(conn, "setup", -1, [&] {
+    return InferSchemaFromSelect(conn, translator, *with.seed, with.columns,
                                  /*widen_non_key=*/true);
   });
-  stats.retries += setup_retrier.retries();
-  stats.reopened_connections += setup_retrier.reopened_connections();
-  stats.timeouts += setup_retrier.timeouts();
   if (schema.empty() || schema[0].type != ValueType::kInt64) {
     const std::string reason =
         "the key column is not integer-typed; hash partitioning on Rid "
@@ -119,11 +116,6 @@ dbc::ResultSet RunIterative(const std::string& url, dbc::Connection& master,
       if (!effective.scrub_repair || attempt + 1 >= kMaxRepairAttempts) {
         throw;
       }
-      // The violation may have struck mid-batch (a scrub pass batches its
-      // CHECK TABLE statements); drain the abandoned queue so the repair
-      // run's first batch doesn't replay stale statements against the
-      // still-quarantined table.
-      master.ClearBatch();
       SQLOOP_INFO("integrity violation mid-job ("
                   << e.what() << "); repairing from the newest valid "
                   << "checkpoint (attempt " << attempt + 1 << ")");

@@ -81,7 +81,7 @@ constexpr uint64_t kCompactDeadRows = 1024;
 
 }  // namespace
 
-ParallelRunner::ParallelRunner(std::string url, dbc::Connection& master,
+ParallelRunner::ParallelRunner(std::string url, ResilientConn& master,
                                const sql::WithClause& with,
                                const CteAnalysis& analysis,
                                std::vector<sql::ColumnDef> schema,
@@ -90,24 +90,15 @@ ParallelRunner::ParallelRunner(std::string url, dbc::Connection& master,
       master_(master),
       with_(with),
       analysis_(analysis),
-      options_(ctx.options),
-      stats_(ctx.stats),
-      recorder_(ctx.recorder),
-      observer_(ctx.observer),
-      gate_(ctx.gate),
-      shared_pool_(ctx.shared_pool),
-      translator_(Translator::For(master)),
+      ctx_(ctx),
+      translator_(Translator::For(master.conn())),
       schema_(std::move(schema)),
       checker_(with.termination, translator_, analysis.cte_name),
       partitions_(static_cast<size_t>(std::max(ctx.options.partitions, 1))),
       base_(analysis.cte_name),
-      retrier_(ctx.options.retry, ctx.recorder, ctx.observer) {
-  // Every connection the run touches — the lent master, each worker's
-  // connection, spares opened for takeover — carries the run's governance
-  // hooks, so cancellation and the memory budget cover all of them.
-  retrier_.set_cancel_token(ctx.cancel);
-  retrier_.set_memory_tracker(ctx.memory);
-  retrier_.set_cancel_check_rows(ctx.options.cancel_check_rows);
+      retrier_(master.retrier()),
+      checkpoints_(ctx.options, translator_, base_, with, ctx.options.mode,
+                   partitions_) {
   published_.assign(partitions_, 0);
   collected_.assign(partitions_, 0);
   collected_dead_rows_.assign(partitions_, 0);
@@ -168,26 +159,37 @@ std::string ParallelRunner::InboxTable() const {
 // Setup
 // ---------------------------------------------------------------------------
 
-void ParallelRunner::DropLeftovers() {
-  MasterExecute("DROP VIEW IF EXISTS " + translator_.Quote(base_));
-  master_.AddBatch(translator_.DropTableSql(base_));
-  master_.AddBatch(translator_.DropTableSql(base_ + "_seed"));
-  master_.AddBatch(translator_.DropTableSql(base_ + "_delta"));
-  master_.AddBatch(translator_.DropTableSql(CompactionTable()));
-  master_.AddBatch(translator_.DropTableSql(InboxTable()));
+std::vector<std::string> ParallelRunner::RunTables() const {
+  std::vector<std::string> tables;
+  tables.reserve(3 * partitions_ + 4);
+  for (size_t k = 0; k < partitions_; ++k) tables.push_back(PartitionTable(k));
   for (size_t k = 0; k < partitions_; ++k) {
-    master_.AddBatch(translator_.DropTableSql(PartitionTable(k)));
-    master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
-    master_.AddBatch(translator_.DropTableSql(OutboxTable(k)));
+    tables.push_back(MjoinTable(k));
+    tables.push_back(OutboxTable(k));
   }
-  MasterExecuteBatch();
+  tables.push_back(CompactionTable());
+  tables.push_back(InboxTable());
+  tables.push_back(base_ + "_seed");
+  tables.push_back(checker_.delta_table());
+  return tables;
+}
+
+void ParallelRunner::DropLeftovers() {
+  master_.Execute("DROP VIEW IF EXISTS " + translator_.Quote(base_));
+  // A table under the view's name: what a single-thread run of the same
+  // CTE keeps under keep_result_tables.
+  master_.AddBatch(translator_.DropTableSql(base_));
+  for (const std::string& table : RunTables()) {
+    master_.AddBatch(translator_.DropTableSql(table));
+  }
+  master_.ExecuteBatch();
 }
 
 void ParallelRunner::CreatePartitions() {
   const std::string staging = base_ + "_seed";
-  MasterExecute(translator_.CreateTableSql(staging, schema_, -1));
-  MasterExecute("INSERT INTO " + translator_.Quote(staging) + " " +
-                translator_.Render(*with_.seed));
+  master_.Execute(translator_.CreateTableSql(staging, schema_, -1));
+  master_.Execute("INSERT INTO " + translator_.Quote(staging) + " " +
+                  translator_.Render(*with_.seed));
 
   // Partition schema: declared columns (+ hidden accumulator/gating
   // columns depending on the aggregate).
@@ -235,7 +237,7 @@ void ParallelRunner::CreatePartitions() {
     }
   }
   master_.AddBatch(translator_.DropTableSql(staging));
-  MasterExecuteBatch();
+  master_.ExecuteBatch();
 }
 
 void ParallelRunner::CreateOutboxes(bool restored) {
@@ -257,9 +259,9 @@ void ParallelRunner::CreateOutboxes(bool restored) {
     const std::string outbox = OutboxTable(k);
     master_.AddBatch("CREATE INDEX " + translator_.Quote(outbox + "_t") +
                      " ON " + translator_.Quote(outbox) + " (target_pt)");
-    if (k % 16 == 15) MasterExecuteBatch();
+    if (k % 16 == 15) master_.ExecuteBatch();
   }
-  MasterExecuteBatch();
+  master_.ExecuteBatch();
 }
 
 void ParallelRunner::CreateUnionView() {
@@ -279,17 +281,18 @@ void ParallelRunner::CreateUnionView() {
   create.kind = sql::StatementKind::kCreateView;
   create.table_name = base_;
   create.view_select = std::move(view_select);
-  MasterExecute(translator_.Render(create));
+  master_.Execute(translator_.Render(create));
 }
 
 void ParallelRunner::MaterializeConstantJoins() {
-  if (!options_.materialize_constant_join) return;  // ablation knob
+  if (!ctx_.options.materialize_constant_join) return;  // ablation knob
   // Rmjoin (paper §V-B): the join's constant side — the bridging relation
   // filtered to rows whose from-key lives in the partition, projected to
   // the columns Ri actually uses.
   std::vector<sql::ColumnDef> mjoin_schema =
-      retrier_.Run(master_, "setup", -1, [&] {
-        return InferTableColumns(master_, translator_, analysis_.mid_table,
+      retrier_.Run(master_.conn(), "setup", -1, [&] {
+        return InferTableColumns(master_.conn(), translator_,
+                                 analysis_.mid_table,
                                  analysis_.mid_columns_used);
       });
 
@@ -314,9 +317,9 @@ void ParallelRunner::MaterializeConstantJoins() {
                      translator_.Quote(mjoin + "_from") + " ON " +
                      translator_.Quote(mjoin) + " (" +
                      translator_.Quote(analysis_.mid_from_key) + ")");
-    if (k % 16 == 15) MasterExecuteBatch();
+    if (k % 16 == 15) master_.ExecuteBatch();
   }
-  MasterExecuteBatch();
+  master_.ExecuteBatch();
 }
 
 void ParallelRunner::BuildTaskSql() {
@@ -445,7 +448,7 @@ void ParallelRunner::BuildTaskSql() {
       } else {
         core.items.push_back({analysis_.delta_expr->Clone(), "val"});
       }
-      const std::string join_source = options_.materialize_constant_join
+      const std::string join_source = ctx_.options.materialize_constant_join
                                           ? MjoinTable(k)
                                           : analysis_.mid_table;
       core.from = sql::MakeJoin(
@@ -505,9 +508,9 @@ void ParallelRunner::BuildTaskSql() {
     TaskText(TaskSql::kCompactIn, k) =
         "INSERT INTO " + outbox + " SELECT * FROM " +
         translator_.Quote(CompactionTable());
-    if (!options_.priority_query.empty()) {
+    if (!ctx_.options.priority_query.empty()) {
       TaskText(TaskSql::kPriority, k) =
-          ReplaceAll(options_.priority_query, "$PARTITION", pt);
+          ReplaceAll(ctx_.options.priority_query, "$PARTITION", pt);
     }
 
     // Step 2 of Compute, combined: update the partition's own columns and
@@ -735,23 +738,6 @@ uint64_t ParallelRunner::TimedGather(size_t partition, dbc::Connection& conn) {
 // Resilience (DESIGN.md "Failure model & resilience")
 // ---------------------------------------------------------------------------
 
-void ParallelRunner::MasterExecute(const std::string& sql) {
-  retrier_.Run(master_, "master", -1, [&] {
-    master_.Execute(sql);
-    return 0;
-  });
-}
-
-void ParallelRunner::MasterExecuteBatch() {
-  // Safe to retry as one unit: a fault strikes before any batched
-  // statement executes, and the queued batch survives the failure (and a
-  // Reopen), so a retry resubmits exactly the original statements.
-  retrier_.Run(master_, "master-batch", -1, [&] {
-    master_.ExecuteBatch();
-    return 0;
-  });
-}
-
 void ParallelRunner::RunSpec(dbc::Connection& conn, TaskSpec& spec) {
   const size_t k = spec.partition;
   const auto partition = static_cast<int64_t>(k);
@@ -809,10 +795,10 @@ void ParallelRunner::DrainAbandoned() {
   if (!round_degraded_) {
     round_degraded_ = true;
     ++degraded_rounds_;
-    SQLOOP_COUNT(recorder_, "resilience.degraded_rounds", 1);
+    SQLOOP_COUNT(ctx_.recorder, "resilience.degraded_rounds", 1);
   }
-  if (observer_ != nullptr) {
-    observer_->OnDegrade(
+  if (ctx_.observer != nullptr) {
+    ctx_.observer->OnDegrade(
         {DegradeEvent::Kind::kMasterTookOver, remaining_workers,
          std::to_string(pending.size()) +
              " abandoned task(s) re-executed on the master connection"});
@@ -821,19 +807,14 @@ void ParallelRunner::DrainAbandoned() {
   // the single-thread fallback — the round completes on the master alone.
   // RetryExhausted here has no rung left below it and aborts the run.
   for (TaskSpec& spec : pending) {
-    RunSpec(master_, spec);
+    RunSpec(master_.conn(), spec);
   }
 }
 
-void ParallelRunner::FlushResilienceStats() {
-  // += rather than =: a setup-phase Retrier (schema inference in sqloop.cpp)
-  // may have accumulated counts before this runner existed.
-  stats_.retries += retrier_.retries();
-  stats_.reopened_connections += retrier_.reopened_connections();
-  stats_.timeouts += retrier_.timeouts();
-  stats_.workers_retired += workers_retired_.load();
-  stats_.degraded_rounds += degraded_rounds_;
-  stats_.partitions_rebalanced += rebalanced_.load();
+void ParallelRunner::FlushDegradationStats() {
+  ctx_.stats.workers_retired += workers_retired_.load();
+  ctx_.stats.degraded_rounds += degraded_rounds_;
+  ctx_.stats.partitions_rebalanced += rebalanced_.load();
 }
 
 // ---------------------------------------------------------------------------
@@ -843,25 +824,9 @@ void ParallelRunner::FlushResilienceStats() {
 void ParallelRunner::EmitSpan(telemetry::SpanKind kind, int64_t partition,
                               double start, double duration,
                               uint64_t updates) {
-#if SQLOOP_TELEMETRY_ENABLED
-  if (recorder_ == nullptr && observer_ == nullptr) return;
-  telemetry::TaskSpan span;
-  span.kind = kind;
-  span.round = current_round_.load(std::memory_order_relaxed);
-  span.partition = partition;
-  span.thread_id = telemetry::Recorder::ThisThreadId();
-  span.start_seconds = start;
-  span.duration_seconds = duration;
-  span.updates = updates;
-  if (recorder_ != nullptr) recorder_->RecordSpan(span);
-  if (observer_ != nullptr) observer_->OnTaskComplete(span);
-#else
-  (void)kind;
-  (void)partition;
-  (void)start;
-  (void)duration;
-  (void)updates;
-#endif
+  core::EmitSpan(ctx_.recorder, ctx_.observer, kind,
+                 current_round_.load(std::memory_order_relaxed), partition,
+                 start, duration, updates);
 }
 
 void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
@@ -892,8 +857,8 @@ void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
   prev_compute_ns_ = compute_ns;
   prev_gather_ns_ = gather_ns;
   prev_skipped_ = skipped;
-  if (recorder_ != nullptr) recorder_->RecordIteration(it);
-  if (observer_ != nullptr) observer_->OnRoundEnd(it);
+  if (ctx_.recorder != nullptr) ctx_.recorder->RecordIteration(it);
+  if (ctx_.observer != nullptr) ctx_.observer->OnRoundEnd(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -939,8 +904,8 @@ void ParallelRunner::CollectConsumedMessages() {
   // and TRUNCATE (no catalog_version bump, no tombstones) empties it.
   // Otherwise a DELETE drops the consumed prefix of seqs.
   const auto run = [&](TaskSql kind, size_t slot, int64_t bind) {
-    return retrier_.Run(master_, "master", -1, [&] {
-      dbc::PreparedStatement& stmt = Statement(master_, kind, slot);
+    return retrier_.Run(master_.conn(), "master", -1, [&] {
+      dbc::PreparedStatement& stmt = Statement(master_.conn(), kind, slot);
       if (bind >= 0) stmt.SetInt64(1, bind);
       return stmt.ExecuteUpdate();
     });
@@ -971,9 +936,10 @@ void ParallelRunner::CollectConsumedMessages() {
     }
     collected_[s] = upto;
     if (collected_dead_rows_[s] < kCompactDeadRows) continue;
-    // Deleted payload lingers until the table is cleared; copy the live
-    // rows out and back in (insertion order kept) to release it, so the
-    // Async steady state (never fully consumed) stays bounded.
+    // A delete frees the payload but leaves an empty slot that every full
+    // outbox scan (the kTargets probe, kCollect) still walks; copy the live
+    // rows out and back in (insertion order kept) to drop the slots, so
+    // the Async steady state (never fully consumed) stays bounded.
     run(TaskSql::kCompactOut, s, -1);
     run(TaskSql::kTruncate, s, -1);
     run(TaskSql::kCompactIn, s, -1);
@@ -986,45 +952,19 @@ void ParallelRunner::CollectConsumedMessages() {
 // Checkpointing / recovery (DESIGN.md "Checkpointing & recovery")
 // ---------------------------------------------------------------------------
 
-void ParallelRunner::SetupCheckpointing() {
-  const bool want = options_.checkpoint_every > 0;
-  if (!want && !options_.resume) return;
-  // Identity ties checkpoints to the exact job: same query text, same mode,
-  // same partition count — a resumed run replays the same statements over
-  // the same layout, which is what makes the restored state meaningful.
-  const std::string job_id = CheckpointManager::JobId(
-      base_ + '|' + translator_.Render(*with_.seed) + '|' +
-      translator_.Render(*with_.step) + '|' +
-      translator_.Render(*with_.final_query) + '|' +
-      ExecutionModeName(options_.mode) + '|' + std::to_string(partitions_));
-  if (options_.resume) {
-    resume_from_ =
-        RecoveryManager(options_.checkpoint_dir, job_id).FindLatestValid();
-    const size_t cells = partitions_ * partitions_;
-    if (resume_from_ != std::nullopt &&
-        (resume_from_->mode != ExecutionModeName(options_.mode) ||
-         resume_from_->partitions != static_cast<int64_t>(partitions_) ||
-         resume_from_->partition_files.size() != partitions_ ||
-         resume_from_->outbox_files.size() != partitions_ ||
-         resume_from_->published.size() != partitions_ ||
-         resume_from_->watermarks.size() != cells ||
-         resume_from_->addressed.size() != cells)) {
-      // Identity hashing should make this unreachable; a mismatched layout
-      // cannot be resumed, so fall back to a fresh run.
-      resume_from_.reset();
-    }
-  }
-  if (want) {
-    ckpt_ = std::make_unique<CheckpointManager>(options_.checkpoint_dir,
-                                                job_id,
-                                                options_.checkpoint_keep,
-                                                options_.verify_checkpoints);
-  }
-}
-
 bool ParallelRunner::RestoreFromCheckpoint() {
-  if (resume_from_ == std::nullopt) return false;
-  const CheckpointManifest& m = *resume_from_;
+  const auto& resume_from = checkpoints_.resume_from();
+  if (resume_from == std::nullopt) return false;
+  const CheckpointManifest& m = *resume_from;
+  const size_t cells = partitions_ * partitions_;
+  if (m.partition_files.size() != partitions_ ||
+      m.outbox_files.size() != partitions_ ||
+      m.published.size() != partitions_ || m.watermarks.size() != cells ||
+      m.addressed.size() != cells) {
+    // Identity hashing should make this unreachable; a mismatched layout
+    // cannot be resumed, so fall back to a fresh run.
+    return false;
+  }
   const double start = run_watch_.ElapsedSeconds();
 
   // Table payloads: every partition table and every outbox. The dump
@@ -1038,7 +978,7 @@ bool ParallelRunner::RestoreFromCheckpoint() {
     master_.AddBatch("RESTORE TABLE " + translator_.Quote(OutboxTable(k)) +
                      " FROM " + Value(m.outbox_files[k]).ToSqlLiteral());
   }
-  MasterExecuteBatch();
+  master_.ExecuteBatch();
 
   // Registry state, captured right after the round's collection: the
   // outboxes hold exactly the rows above ConsumedUpto, without tombstones.
@@ -1069,90 +1009,11 @@ bool ParallelRunner::RestoreFromCheckpoint() {
   if (m.last_dispatch.size() == partitions_) {
     resume_last_dispatch_ = m.last_dispatch;
   }
-  stats_.resumed_from_round = m.round;
-  SQLOOP_COUNT(recorder_, "checkpoint.restores", 1);
+  ctx_.stats.resumed_from_round = m.round;
+  SQLOOP_COUNT(ctx_.recorder, "checkpoint.restores", 1);
   SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kRestore, -1, start,
                             run_watch_.ElapsedSeconds() - start, 0););
   return true;
-}
-
-void ParallelRunner::WriteCheckpoint(
-    int64_t round, uint64_t dispatch_seq,
-    const std::vector<uint64_t>& last_dispatch) {
-  const double start = run_watch_.ElapsedSeconds();
-  ckpt_->BeginRound(round);
-  CheckpointManifest m;
-  m.round = round;
-  m.mode = ExecutionModeName(options_.mode);
-  m.partitions = static_cast<int64_t>(partitions_);
-  // O(1) unchanged-table probe (see the single-thread runner): a table
-  // whose maintained checksum still matches the last sealed dump
-  // republishes those bytes instead of re-serializing. Converged
-  // partitions in Sync/AsyncP runs, and outboxes left empty by the
-  // round's collection, stop paying O(table) per checkpoint.
-  const auto dump = [&](const std::string& table, const std::string& stem) {
-    const std::string probe_sql = "CHECKSUM TABLE " + translator_.Quote(table);
-    std::string checksum;
-    retrier_.Run(master_, "master", -1, [&] {
-      checksum = master_.ExecuteQuery(probe_sql).rows[0][1].as_text();
-      return 0;
-    });
-    if (ckpt_->TryReuseDump(round, stem, checksum)) {
-      ++stats_.checkpoint_dumps_reused;
-      SQLOOP_COUNT(recorder_, "checkpoint.dumps_reused", 1);
-    } else {
-      master_.AddBatch("DUMP TABLE " + translator_.Quote(table) + " TO " +
-                       Value(ckpt_->FileFor(round, stem)).ToSqlLiteral());
-      ckpt_->RecordDumpChecksum(round, stem, checksum);
-    }
-    return stem;
-  };
-  for (size_t k = 0; k < partitions_; ++k) {
-    m.partition_files.push_back(
-        dump(PartitionTable(k), "pt" + std::to_string(k) + ".dump"));
-  }
-  for (size_t k = 0; k < partitions_; ++k) {
-    m.outbox_files.push_back(
-        dump(OutboxTable(k), "msg" + std::to_string(k) + ".dump"));
-  }
-  MasterExecuteBatch();
-  {
-    const std::scoped_lock lock(registry_mutex_);
-    m.published = published_;
-    m.watermarks = watermark_;
-    m.addressed = addressed_;
-  }
-  {
-    const std::scoped_lock lock(priority_mutex_);
-    m.priorities = priorities_;
-    m.priority_known.reserve(partitions_);
-    for (size_t k = 0; k < partitions_; ++k) {
-      m.priority_known.push_back(priority_known_[k] ? 1 : 0);
-    }
-  }
-  m.dispatch_seq = dispatch_seq;
-  m.last_dispatch = last_dispatch;
-  ckpt_->Commit(std::move(m));
-  ++stats_.checkpoints_written;
-  stats_.checkpoints_verified = ckpt_->verified_count();
-  SQLOOP_COUNT(recorder_, "checkpoint.writes", 1);
-  SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kCheckpoint, -1, start,
-                            run_watch_.ElapsedSeconds() - start, 0););
-}
-
-void ParallelRunner::ScrubPartitions() {
-  // Scrub BEFORE the checkpoint write at the same cadence point: a state
-  // table that fails its content checksum must never be sealed into a
-  // checkpoint. CHECK TABLE raises IntegrityError on a mismatch — fatal to
-  // the retrier, so it surfaces straight to the repair ladder in
-  // execute.cpp rather than being retried against the same corrupt rows.
-  for (size_t k = 0; k < partitions_; ++k) {
-    master_.AddBatch("CHECK TABLE " + translator_.Quote(PartitionTable(k)));
-    if (k % 16 == 15) MasterExecuteBatch();
-  }
-  MasterExecuteBatch();
-  ++stats_.scrub_passes;
-  SQLOOP_COUNT(recorder_, "minidb.scrub_passes", 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1160,7 +1021,7 @@ void ParallelRunner::ScrubPartitions() {
 // ---------------------------------------------------------------------------
 
 void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
-  if (options_.priority_query.empty()) return;
+  if (ctx_.options.priority_query.empty()) return;
   const double start = run_watch_.ElapsedSeconds();
   std::optional<double> priority;
   const auto result =
@@ -1188,7 +1049,7 @@ bool ParallelRunner::PartitionEligible(size_t partition, double* rank) {
   }
   if (priorities_[partition].has_value()) {
     const double v = *priorities_[partition];
-    *rank = options_.priority_descending ? v : -v;
+    *rank = ctx_.options.priority_descending ? v : -v;
     return true;
   }
   if (HasUnreadTargetedMessages(partition)) {
@@ -1203,9 +1064,9 @@ void ParallelRunner::RunRounds() {
   // per-worker connections are opened lazily by the first task that lands
   // on each worker (worker_conn below), since a shared pool's start hooks
   // already ran for some other purpose long ago.
-  const int threads = shared_pool_ != nullptr
-                          ? static_cast<int>(shared_pool_->worker_count())
-                          : options_.ResolveThreads();
+  const int threads = ctx_.shared_pool != nullptr
+                          ? static_cast<int>(ctx_.shared_pool->worker_count())
+                          : ctx_.options.ResolveThreads();
   std::vector<std::unique_ptr<dbc::Connection>> worker_conns(
       static_cast<size_t>(threads));
   worker_dead_.assign(static_cast<size_t>(threads), 0);
@@ -1213,17 +1074,22 @@ void ParallelRunner::RunRounds() {
     const std::scoped_lock lock(degrade_mutex_);
     live_workers_ = static_cast<size_t>(threads);
   }
+  // A worker's initial open. Worker statements count toward the same run
+  // as the master's and carry the same timeout and governance hooks.
+  const auto open_worker = [&](size_t worker) -> dbc::Connection& {
+    auto conn = dbc::DriverManager::GetConnection(url_);
+    conn->set_recorder(ctx_.recorder);
+    conn->set_statement_timeout_ms(ctx_.options.retry.statement_timeout_ms);
+    retrier_.ApplyGovernance(*conn);
+    worker_conns[worker] = std::move(conn);
+    return *worker_conns[worker];
+  };
   std::unique_ptr<ThreadPool> owned_pool;
-  if (shared_pool_ == nullptr) {
+  if (ctx_.shared_pool == nullptr) {
     owned_pool = std::make_unique<ThreadPool>(
         static_cast<size_t>(threads), [&](size_t index) {
           try {
-            worker_conns[index] = dbc::DriverManager::GetConnection(url_);
-            // Worker statements count toward the same run as the master's.
-            worker_conns[index]->set_recorder(recorder_);
-            worker_conns[index]->set_statement_timeout_ms(
-                options_.retry.statement_timeout_ms);
-            retrier_.ApplyGovernance(*worker_conns[index]);
+            open_worker(index);
           } catch (const std::exception& e) {
             if (IsTransientError(e)) return;  // first task re-attempts open
             const std::scoped_lock lock(failure_mutex_);
@@ -1238,7 +1104,7 @@ void ParallelRunner::RunRounds() {
   // pool it is a transparent wrapper; with a shared pool its WaitIdle
   // waits only for THIS job's tasks, so concurrent jobs barrier
   // independently.
-  TaskGroup pool(shared_pool_ != nullptr ? *shared_pool_ : *owned_pool);
+  TaskGroup pool(ctx_.shared_pool != nullptr ? *ctx_.shared_pool : *owned_pool);
 
   // However RunRounds exits, every worker connection is closed before the
   // pool unwinds — the failure path must not leak live connections until
@@ -1282,14 +1148,9 @@ void ParallelRunner::RunRounds() {
   // worker's open failures then meet the same retry budget, whichever
   // worker's thread happens to run first.
   const auto worker_conn = [&](size_t worker) -> dbc::Connection& {
-    if (worker_conns[worker] == nullptr && shared_pool_ != nullptr) {
+    if (worker_conns[worker] == nullptr && ctx_.shared_pool != nullptr) {
       try {
-        auto conn = dbc::DriverManager::GetConnection(url_);
-        conn->set_recorder(recorder_);
-        conn->set_statement_timeout_ms(options_.retry.statement_timeout_ms);
-        retrier_.ApplyGovernance(*conn);
-        worker_conns[worker] = std::move(conn);
-        return *worker_conns[worker];
+        return open_worker(worker);
       } catch (const std::exception& e) {
         if (!IsTransientError(e)) throw;
         // Transient connect fault: fall through to the counted retry path.
@@ -1312,15 +1173,15 @@ void ParallelRunner::RunRounds() {
       remaining = --live_workers_;
     }
     workers_retired_.fetch_add(1);
-    SQLOOP_COUNT(recorder_, "resilience.workers_retired", 1);
+    SQLOOP_COUNT(ctx_.recorder, "resilience.workers_retired", 1);
     if (worker_conns[worker] && !worker_conns[worker]->closed()) {
       try {
         worker_conns[worker]->Close();
       } catch (...) {
       }
     }
-    if (observer_ != nullptr) {
-      observer_->OnDegrade(
+    if (ctx_.observer != nullptr) {
+      ctx_.observer->OnDegrade(
           {DegradeEvent::Kind::kWorkerRetired, remaining, reason});
     }
   };
@@ -1349,7 +1210,7 @@ void ParallelRunner::RunRounds() {
       if (survivors > 0 && spec.bounces < 2 * threads) {
         if (spec.bounces == 0) {
           rebalanced_.fetch_add(1);
-          SQLOOP_COUNT(recorder_, "resilience.tasks_rebalanced", 1);
+          SQLOOP_COUNT(ctx_.recorder, "resilience.tasks_rebalanced", 1);
         }
         ++spec.bounces;
         pool.Submit([&run_task, spec = std::move(spec)](size_t w) mutable {
@@ -1364,7 +1225,7 @@ void ParallelRunner::RunRounds() {
       dbc::Connection& conn = worker_conn(worker);
       RunSpec(conn, spec);
     } catch (const RetryExhausted& e) {
-      if (options_.retry.allow_degradation) {
+      if (ctx_.options.retry.allow_degradation) {
         retire_worker(worker, e.what());
         AbandonTask(std::move(spec));
       } else {
@@ -1381,20 +1242,12 @@ void ParallelRunner::RunRounds() {
   };
 
   const bool continuous_priority =
-      options_.mode == ExecutionMode::kAsyncPriority &&
-      !options_.priority_query.empty();
+      ctx_.options.mode == ExecutionMode::kAsyncPriority &&
+      !ctx_.options.priority_query.empty();
 
-  // The delta snapshot repeats every round with fixed text: prepared once
-  // on the master, executed per round. Task statements are prepared per
-  // connection on first use (Statement()); the plan cache pins each text,
-  // so whichever connection prepares it first parses it for all of them.
-  std::vector<dbc::PreparedStatement> snapshot_stmts;
-  if (checker_.needs_delta_snapshot()) {
-    for (const auto& sql : checker_.SnapshotSql(schema_)) {
-      snapshot_stmts.push_back(retrier_.Run(
-          master_, "prepare", -1, [&] { return master_.Prepare(sql); }));
-    }
-  }
+  // Task statements are prepared per connection on first use
+  // (Statement()); the plan cache pins each text, so whichever connection
+  // prepares it first parses it for all of them.
 
   // State for the continuous priority scheduler (paper §V-E: "instead of
   // scheduling ... in a round-robin fashion, the master thread maintains a
@@ -1414,44 +1267,11 @@ void ParallelRunner::RunRounds() {
     dispatch_seq = resume_dispatch_seq_;
   }
 
-  // One round's slot in the cross-job scheduler (service runs). EndRound
-  // must fire on the unwind path too — a job that dies mid-round still has
-  // to give its grant back or every other job would starve.
-  struct RoundLease {
-    RoundGate* gate;
-    int64_t round;
-    ~RoundLease() {
-      if (gate != nullptr) gate->EndRound(round);
-    }
-  };
-
-  for (int64_t round = resume_round_ + 1;; ++round) {
-    // The gate may block (fair-share turn-taking) and may throw
-    // JobCancelledError — the cooperative cancellation point at the round
-    // border. Taken before any of the round's work, so a cancelled or
-    // descheduled job holds no pool capacity while it waits.
-    if (gate_ != nullptr) gate_->BeginRound(round);
-    RoundLease lease{gate_, round};
+  const auto step = [&](int64_t round, double round_start) -> RoundResult {
     current_round_.store(round, std::memory_order_relaxed);
     round_degraded_ = false;
-    if (observer_ != nullptr) observer_->OnRoundStart(round);
-    if (const auto& fault = master_.fault_injector();
-        fault != nullptr && fault->ShouldKillAtRound(round)) {
-      // Simulated hard crash. Run() drops the in-database scratch state on
-      // the way out (exactly what a process death forfeits); checkpoint
-      // files survive on disk for a later `resume` run.
-      throw JobKilledError("fault_kill_at_round fired at round " +
-                           std::to_string(round));
-    }
-    const double round_start = run_watch_.ElapsedSeconds();
-    double barrier_wait = 0;
-    for (auto& stmt : snapshot_stmts) {
-      retrier_.Run(master_, "master", -1, [&] {
-        stmt.Execute();
-        return 0;
-      });
-    }
     round_updates_.store(0);
+    double barrier_wait = 0;
 
     // Aggregate worker idle across one barriered phase: the pool has
     // `threads` workers for `wall` seconds; whatever they did not spend
@@ -1473,7 +1293,7 @@ void ParallelRunner::RunRounds() {
       DrainAbandoned();
     };
 
-    if (options_.mode == ExecutionMode::kSync) {
+    if (ctx_.options.mode == ExecutionMode::kSync) {
       // Two-phase with explicit barriers (paper §V-E, Fig. 3 top). State
       // is frozen between barriers, so each phase dispatches only the
       // partitions with work; the skip rule decides on the master.
@@ -1547,7 +1367,8 @@ void ParallelRunner::RunRounds() {
             if (!PartitionEligible(k, &rank)) continue;
             if (best < 0 || rank > best_rank ||
                 (rank == best_rank &&
-                 last_dispatch[k] < last_dispatch[static_cast<size_t>(best)])) {
+                 last_dispatch[k] <
+                     last_dispatch[static_cast<size_t>(best)])) {
               best = static_cast<int>(k);
               best_rank = rank;
             }
@@ -1601,42 +1422,58 @@ void ParallelRunner::RunRounds() {
         if (!PartitionEligible(k, &rank)) skipped_tasks_.fetch_add(1);
       }
       if (starved && round_updates_.load() == 0) {
-        // Nothing can make progress anymore: quiesced. Check Tc once and
-        // stop either way — further windows would be identical no-ops.
+        // Nothing can make progress anymore: quiesced. The loop checks
+        // Tc once and stops either way — further windows would be
+        // identical no-ops.
         CollectConsumedMessages();
-        stats_.iterations = round;
         FinishRound(round, 0, round_start, barrier_wait);
-        retrier_.Run(master_, "termination", -1,
-                     [&] { return checker_.Satisfied(master_, round, 0); });
-        break;
+        return {0, /*quiesced=*/true};
       }
     }
 
     CollectConsumedMessages();
-    stats_.iterations = round;
     const uint64_t updates = round_updates_.load();
-    stats_.total_updates += updates;
     FinishRound(round, updates, round_start, barrier_wait);
     // A zero-update window is genuine quiescence: the fair tie-breaking
     // above guarantees every pending message is consumed within a window,
     // so anything still unread is an idempotent re-send.
-    const bool satisfied = retrier_.Run(master_, "termination", -1, [&] {
-      return checker_.Satisfied(master_, round, updates);
-    });
-    if (satisfied) break;
-    if (options_.scrub_every > 0 && round % options_.scrub_every == 0) {
-      ScrubPartitions();
-    }
-    if (ckpt_ != nullptr && round % options_.checkpoint_every == 0) {
-      WriteCheckpoint(round, dispatch_seq, last_dispatch);
-    }
-    if (round >= options_.max_iterations_guard) {
-      throw ExecutionError("iterative CTE '" + with_.name +
-                           "' did not satisfy its UNTIL condition within " +
-                           std::to_string(options_.max_iterations_guard) +
-                           " rounds");
-    }
+    return {updates};
+  };
+
+  // The state a checkpoint dumps: every partition table (which a scrub
+  // pass checks), then every outbox.
+  RoundLoop loop{ctx_,    master_,    translator_,  run_watch_, checker_,
+                 schema_, with_.name, checkpoints_, {}};
+  for (size_t k = 0; k < partitions_; ++k) {
+    loop.state.push_back(
+        {PartitionTable(k), "pt" + std::to_string(k) + ".dump"});
   }
+  for (size_t k = 0; k < partitions_; ++k) {
+    loop.state.push_back(
+        {OutboxTable(k), "msg" + std::to_string(k) + ".dump", false});
+  }
+  loop.Run(resume_round_ + 1, step, [&](CheckpointManifest& m) {
+    for (size_t k = 0; k < partitions_; ++k) {
+      m.partition_files.push_back(loop.state[k].stem);
+      m.outbox_files.push_back(loop.state[partitions_ + k].stem);
+    }
+    {
+      const std::scoped_lock lock(registry_mutex_);
+      m.published = published_;
+      m.watermarks = watermark_;
+      m.addressed = addressed_;
+    }
+    {
+      const std::scoped_lock lock(priority_mutex_);
+      m.priorities = priorities_;
+      m.priority_known.reserve(partitions_);
+      for (size_t k = 0; k < partitions_; ++k) {
+        m.priority_known.push_back(priority_known_[k] ? 1 : 0);
+      }
+    }
+    m.dispatch_seq = dispatch_seq;
+    m.last_dispatch = last_dispatch;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1644,58 +1481,21 @@ void ParallelRunner::RunRounds() {
 // ---------------------------------------------------------------------------
 
 void ParallelRunner::Cleanup() {
-  // Cleanup runs precisely when the job may have been cancelled, and the
-  // dbc layer rejects every statement while a cancel token is armed —
-  // detach it so the drops (cheap, bounded DDL) can land; the caller's
-  // TimeoutGuard re-attaches the original token after Run unwinds.
-  const CancelToken* const armed_token = master_.cancel_token();
-  master_.set_cancel_token(nullptr);
-  try {
-    // The run may have ended with the master connection dropped by a
-    // fault; cleanup needs a live connection or nothing below can work.
-    if (master_.closed()) master_.Reopen();
-    master_.Execute("DROP VIEW IF EXISTS " + translator_.Quote(base_));
-    for (size_t k = 0; k < partitions_; ++k) {
-      master_.AddBatch(translator_.DropTableSql(PartitionTable(k)));
-      master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
-      master_.AddBatch(translator_.DropTableSql(OutboxTable(k)));
+  // Runs precisely when the job may have been cancelled: the master scope
+  // detaches the token so the drops (cheap, bounded DDL) can land.
+  master_.BestEffort([&](dbc::Connection& conn) {
+    conn.Execute("DROP VIEW IF EXISTS " + translator_.Quote(base_));
+    for (const std::string& table : RunTables()) {
+      conn.AddBatch(translator_.DropTableSql(table));
     }
-    master_.AddBatch(translator_.DropTableSql(CompactionTable()));
-    master_.AddBatch(translator_.DropTableSql(InboxTable()));
-    master_.AddBatch(translator_.DropTableSql(base_ + "_seed"));
-    master_.AddBatch(translator_.DropTableSql(base_ + "_delta"));
-    master_.ExecuteBatch();
-  } catch (...) {
-    // Cleanup is best-effort; the original error (if any) matters more.
-  }
-  master_.set_cancel_token(armed_token);
+    conn.ExecuteBatch();
+  });
 }
 
 dbc::ResultSet ParallelRunner::Run() {
   const Stopwatch watch;
-  // The caller owns the master connection; apply the run's statement
-  // timeout and governance hooks for the duration of the run and restore
-  // the old values after.
-  struct TimeoutGuard {
-    dbc::Connection& conn;
-    int64_t saved;
-    const CancelToken* saved_token;
-    MemoryTracker* saved_tracker;
-    int64_t saved_check_rows;
-    ~TimeoutGuard() {
-      conn.set_statement_timeout_ms(saved);
-      conn.set_cancel_token(saved_token);
-      conn.set_memory_tracker(saved_tracker);
-      conn.set_cancel_check_rows(saved_check_rows);
-    }
-  } timeout_guard{master_, master_.statement_timeout_ms(),
-                  master_.cancel_token(), master_.active_memory_tracker(),
-                  master_.cancel_check_rows()};
-  master_.set_statement_timeout_ms(options_.retry.statement_timeout_ms);
-  retrier_.ApplyGovernance(master_);
   try {
     const double setup_start = run_watch_.ElapsedSeconds();
-    SetupCheckpointing();
     DropLeftovers();
     const bool restored = RestoreFromCheckpoint();
     if (!restored) CreatePartitions();
@@ -1708,37 +1508,35 @@ dbc::ResultSet ParallelRunner::Run() {
     RunRounds();
 
     const double final_start = run_watch_.ElapsedSeconds();
-    dbc::ResultSet result = retrier_.Run(master_, "final", -1, [&] {
-      return master_.ExecuteQuery(translator_.Render(*with_.final_query));
+    dbc::ResultSet result = retrier_.Run(master_.conn(), "final", -1, [&] {
+      return master_.conn().ExecuteQuery(
+          translator_.Render(*with_.final_query));
     });
     SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kFinal, -1, final_start,
                               run_watch_.ElapsedSeconds() - final_start, 0););
 
-    stats_.mode_used = options_.mode;
-    stats_.parallelized = true;
-    stats_.compute_tasks = compute_tasks_.load();
-    stats_.gather_tasks = gather_tasks_.load();
-    stats_.skipped_tasks = skipped_tasks_.load();
-    stats_.message_tables = message_count_.load();
-    stats_.seconds = watch.ElapsedSeconds();
+    ctx_.stats.mode_used = ctx_.options.mode;
+    ctx_.stats.parallelized = true;
+    ctx_.stats.compute_tasks = compute_tasks_.load();
+    ctx_.stats.gather_tasks = gather_tasks_.load();
+    ctx_.stats.skipped_tasks = skipped_tasks_.load();
+    ctx_.stats.message_tables = message_count_.load();
+    ctx_.stats.seconds = watch.ElapsedSeconds();
 
-    if (options_.keep_result_tables) {
-      // Keep the view + partitions for post-run sampling, but clear the
-      // outboxes and the constant-join materialization.
-      for (size_t k = 0; k < partitions_; ++k) {
-        master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
-        master_.AddBatch(translator_.DropTableSql(OutboxTable(k)));
+    if (ctx_.options.keep_result_tables) {
+      // Keep the view + partitions for post-run sampling; drop the rest.
+      const std::vector<std::string> tables = RunTables();
+      for (size_t i = partitions_; i < tables.size(); ++i) {
+        master_.AddBatch(translator_.DropTableSql(tables[i]));
       }
-      master_.AddBatch(translator_.DropTableSql(CompactionTable()));
-      master_.AddBatch(translator_.DropTableSql(InboxTable()));
-      MasterExecuteBatch();
+      master_.ExecuteBatch();
     } else {
       Cleanup();
     }
-    FlushResilienceStats();
+    FlushDegradationStats();
     return result;
   } catch (...) {
-    FlushResilienceStats();  // partial counters still tell the story
+    FlushDegradationStats();  // partial counters still tell the story
     Cleanup();
     throw;
   }

@@ -19,6 +19,7 @@
 #include "core/observer.h"
 #include "core/options.h"
 #include "core/resilience.h"
+#include "core/round_loop.h"
 #include "core/termination.h"
 #include "core/translator.h"
 #include "dbc/connection.h"
@@ -28,12 +29,12 @@ namespace sqloop::core {
 
 class ParallelRunner {
  public:
-  /// `master` drives DDL, termination checks, and the final query; worker
-  /// connections are opened against `url` (one per thread, §V-B). `schema`
-  /// is the inferred CTE schema (key first, already widened). `ctx` bundles
-  /// the per-call options with the stats/telemetry sinks; all referenced
-  /// objects must outlive the runner.
-  ParallelRunner(std::string url, dbc::Connection& master,
+  /// `master` drives DDL, termination checks, and the final query; its
+  /// Retrier also serves the workers, whose connections are opened against
+  /// `url` (one per thread, §V-B). `schema` is the inferred CTE schema (key
+  /// first, already widened). `ctx` bundles the per-call options with the
+  /// stats/telemetry sinks; all referenced objects must outlive the runner.
+  ParallelRunner(std::string url, ResilientConn& master,
                  const sql::WithClause& with, const CteAnalysis& analysis,
                  std::vector<sql::ColumnDef> schema,
                  const ExecutionContext& ctx);
@@ -69,6 +70,11 @@ class ParallelRunner {
   };
 
   // --- setup / teardown -------------------------------------------------
+  /// Every table a run creates: the partition tables first (kept with the
+  /// union view under keep_result_tables), then the scratch tables — Rmjoin,
+  /// outboxes, compaction, inbox, seed staging, delta snapshot. Setup,
+  /// teardown and keep_result_tables all drop from this one list.
+  std::vector<std::string> RunTables() const;
   void DropLeftovers();
   void CreatePartitions();
   /// The fixed per-source message outboxes `<R>_msg<k>` (paper §V-C's
@@ -81,27 +87,12 @@ class ParallelRunner {
   void Cleanup();
 
   // --- checkpointing / recovery (DESIGN.md "Checkpointing & recovery") ---
-  /// Derives the job id and, under `resume`, probes for the newest valid
-  /// checkpoint of this exact job (same query, mode, partition count).
-  void SetupCheckpointing();
   /// Re-creates the partition tables and outboxes from the resume
   /// checkpoint and reloads the registry / priority / scheduler state.
   /// Returns false (fresh start) when there is nothing to resume.
   bool RestoreFromCheckpoint();
-  /// Dumps every partition table and outbox and seals the round's
-  /// manifest. Runs at a round border (pool idle), so the captured state
-  /// is exactly what the next round starts from.
-  void WriteCheckpoint(int64_t round, uint64_t dispatch_seq,
-                       const std::vector<uint64_t>& last_dispatch);
-  /// CHECK TABLE over every partition table (batched on the master), at
-  /// the scrub cadence point just before the checkpoint write. A content
-  /// checksum mismatch surfaces as IntegrityError.
-  void ScrubPartitions();
 
   // --- resilience (DESIGN.md "Failure model & resilience") ---------------
-  /// master_.Execute / master_.ExecuteBatch under the retry policy.
-  void MasterExecute(const std::string& sql);
-  void MasterExecuteBatch();
   /// Runs the spec's remaining pieces on `conn`, each piece under the
   /// retry policy, clearing piece flags as they complete. Worker threads
   /// and the master (DrainAbandoned) both use it.
@@ -110,7 +101,9 @@ class ParallelRunner {
   /// Master-side: re-executes every abandoned spec on the master
   /// connection. Called only while the pool is idle (phase/round borders).
   void DrainAbandoned();
-  void FlushResilienceStats();
+  /// Adds the degradation ladder's counters to RunStats (the master scope
+  /// flushes the Retrier's).
+  void FlushDegradationStats();
 
   // --- tasks (§V-C) -----------------------------------------------------
   uint64_t RunCompute(size_t partition, dbc::Connection& conn,
@@ -159,6 +152,8 @@ class ParallelRunner {
   void CollectConsumedMessages();
 
   // --- scheduling (§V-E) --------------------------------------------------
+  /// Opens the worker pool and runs the shared RoundLoop; the step is one
+  /// Sync, Async or AsyncP round plus collection and FinishRound.
   void RunRounds();
   void RefreshPriority(size_t partition, dbc::Connection& conn);
   /// True if the partition currently has productive work: a usable
@@ -207,15 +202,12 @@ class ParallelRunner {
                                     size_t partition);
 
   const std::string url_;
-  dbc::Connection& master_;
+  ResilientConn& master_;
   const sql::WithClause& with_;
   const CteAnalysis& analysis_;
-  const SqloopOptions& options_;
-  RunStats& stats_;
-  telemetry::Recorder* const recorder_;  // may be null
-  ExecutionObserver* const observer_;    // may be null
-  RoundGate* const gate_;                // may be null (non-service runs)
-  ThreadPool* const shared_pool_;        // may be null (private pool)
+  // Options, stats and telemetry sinks; recorder, observer and shared
+  // pool may be null.
+  const ExecutionContext ctx_;
   const Stopwatch run_watch_;            // span times are offsets from this
   Translator translator_;
   std::vector<sql::ColumnDef> schema_;
@@ -247,8 +239,9 @@ class ParallelRunner {
   // task writes its flag outside round borders.
   std::vector<uint8_t> pending_;
   // Master-only GC state, per source: seqs already removed, and rows
-  // DELETE left as tombstones (their payload stays until the table is
-  // cleared, so compaction copies the survivors once enough pile up).
+  // DELETE left as tombstone slots. A delete frees the payload at once,
+  // but every full outbox scan (the kTargets probe, kCollect) still walks
+  // the slots, so compaction copies the survivors once enough pile up.
   std::vector<uint64_t> collected_;
   std::vector<uint64_t> collected_dead_rows_;
   // Gather staging tokens handed out, and the count at the inbox's last
@@ -285,10 +278,10 @@ class ParallelRunner {
   std::mutex failure_mutex_;
   std::exception_ptr failure_;
 
-  // Resilience state. The retrier is shared by the master and all workers;
-  // the degradation ladder tracks retired workers and the tasks they
-  // abandoned (drained by the master at phase/round borders).
-  Retrier retrier_;
+  // Resilience state. The master scope's retrier is shared by the master
+  // and all workers; the degradation ladder tracks retired workers and the
+  // tasks they abandoned (drained by the master at phase/round borders).
+  Retrier& retrier_;
   std::mutex degrade_mutex_;
   std::vector<char> worker_dead_;
   size_t live_workers_ = 0;
@@ -300,9 +293,9 @@ class ParallelRunner {
   // per task).
   std::atomic<uint64_t> rebalanced_{0};
 
-  // Checkpoint / recovery state (set up in Run before any DDL).
-  std::unique_ptr<CheckpointManager> ckpt_;
-  std::optional<CheckpointManifest> resume_from_;
+  // Checkpoint identity and the resume probe (probed before any DDL), and
+  // what a restore hands the round loop.
+  const JobCheckpoints checkpoints_;
   int64_t resume_round_ = 0;  // 0 = fresh run
   uint64_t resume_dispatch_seq_ = 0;
   std::vector<uint64_t> resume_last_dispatch_;

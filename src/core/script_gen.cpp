@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/stopwatch.h"
+#include "core/round_loop.h"
 #include "core/schema_infer.h"
 #include "core/termination.h"
 #include "core/translator.h"
@@ -125,10 +126,7 @@ dbc::ResultSet RunScriptBaseline(dbc::Connection& connection,
     stats.iterations = iteration;
     stats.total_updates += updates;
     if (checker.Satisfied(connection, iteration, updates)) break;
-    if (iteration >= options.max_iterations_guard) {
-      throw ExecutionError("script baseline for '" + with.name +
-                           "' did not reach its stop condition");
-    }
+    EnforceIterationGuard(options, with.name, iteration);
   }
 
   dbc::ResultSet result = connection.ExecuteQuery(pieces.final_query);

@@ -8,13 +8,15 @@
 
 #include "core/observer.h"
 #include "core/options.h"
+#include "core/round_loop.h"
 #include "dbc/connection.h"
 #include "sql/ast.h"
 
 namespace sqloop::core {
 
-/// Runs an iterative CTE on one connection without partitioning.
-dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
+/// Runs an iterative CTE on `master`'s connection without partitioning;
+/// the round border is the shared RoundLoop, the step one merge.
+dbc::ResultSet RunIterativeSingleThread(ResilientConn& master,
                                         const sql::WithClause& with,
                                         const ExecutionContext& ctx);
 

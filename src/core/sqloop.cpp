@@ -53,10 +53,11 @@ dbc::ResultSet SqLoop::ExecuteScript(const std::string& script) {
 server::JobServer& SqLoop::job_server() {
   if (server_ == nullptr) {
     // Embedded single-job configuration: one dispatcher, no shared pool
-    // (each run builds its private pool exactly like a standalone run),
-    // no derived seeds and no pooled connections — legacy single-job
-    // behaviour, fault schedules and connection accounting stay
-    // bit-identical to the pre-service facade.
+    // (each run builds its private pool exactly like a standalone run) and
+    // no derived seeds — legacy single-job behaviour and fault schedules
+    // stay bit-identical to the pre-service facade. Every facade job runs
+    // on the lent master connection, so the server's connection pool is
+    // never consulted and connection accounting is the caller's.
     server::JobServerConfig config;
     config.url = url_;
     config.share_worker_pool = false;
@@ -65,7 +66,6 @@ server::JobServer& SqLoop::job_server() {
     config.queue_capacity = 64;
     config.max_inflight_per_tenant = 64;
     config.derive_seeds = false;
-    config.pool_connections = false;
     server_ = std::make_unique<server::JobServer>(std::move(config));
   }
   return *server_;

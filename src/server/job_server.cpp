@@ -808,7 +808,6 @@ void JobServer::ReleaseTarget(const JobRecord& job) {
 
 std::unique_ptr<dbc::Connection> JobServer::AcquireConnection(
     const std::string& url) {
-  if (!config_.pool_connections) return nullptr;  // EnsureOpen opens fresh
   const std::scoped_lock lock(pool_mutex_);
   auto it = idle_conns_.find(url);
   while (it != idle_conns_.end() && !it->second.empty()) {
@@ -828,7 +827,7 @@ void JobServer::ReleaseConnection(const std::string& url,
   if (conn == nullptr) return;
   // Only a clean connection is safe to hand to the next job: open, in
   // autocommit, with no half-built batch.
-  if (config_.pool_connections && !admission_.closed() && !conn->closed() &&
+  if (!admission_.closed() && !conn->closed() &&
       conn->auto_commit() && conn->batch_size() == 0) {
     const std::scoped_lock lock(pool_mutex_);
     idle_conns_[url].push_back(std::move(conn));

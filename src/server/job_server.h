@@ -90,11 +90,6 @@ struct JobServerConfig {
   /// server so existing single-job runs stay bit-identical.
   bool derive_seeds = true;
 
-  /// Keep finished jobs' master connections in a per-URL pool for reuse.
-  /// False = close after every job (the embedded facade server: tests pin
-  /// the facade's exact connection accounting).
-  bool pool_connections = true;
-
   /// Terminal jobs kept for Jobs() introspection; older ones are dropped.
   size_t history_limit = 128;
 
