@@ -45,7 +45,8 @@ void RunSssp(int unused_default) {
   std::cout << "dataset: ego-net stand-in for Twitter, " << g.NodeCount()
             << " nodes, " << g.edge_count() << " edges; source=" << source
             << " dest=" << dest << "\n";
-  std::cout << "engine      mode    exec_time_s  rounds  skipped_tasks\n";
+  std::cout << "engine      mode    exec_time_s  rounds  updates  "
+               "skipped_tasks\n";
   for (const auto& engine : Engines()) {
     for (const auto mode : kModes) {
       const auto run = RunQuery(
@@ -54,12 +55,14 @@ void RunSssp(int unused_default) {
       std::cout << std::left << std::setw(12) << engine << std::setw(8)
                 << ModeLabel(mode) << std::fixed << std::setprecision(3)
                 << std::setw(13) << run.seconds << std::setw(8)
-                << run.stats.iterations << run.stats.skipped_tasks << "\n";
+                << run.stats.iterations << std::setw(9)
+                << run.stats.total_updates << run.stats.skipped_tasks << "\n";
       ResultLine("fig4_sssp")
           .Add("engine", engine)
           .Add("mode", ModeLabel(mode))
           .Add("seconds", run.seconds)
           .Add("rounds", run.stats.iterations)
+          .Add("updates", static_cast<int64_t>(run.stats.total_updates))
           .Add("skipped_tasks",
                static_cast<int64_t>(run.stats.skipped_tasks))
           .Print();

@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
-# CI entry point: configure + build the four presets. The default build
+# CI entry point: configure + build the three presets. The default build
 # runs the full test suite (plus the perf smoke label, the end-to-end
 # benchmark's tiny-scale self-test, the durability and storage acceptance
-# labels, and the scan / service / governance / integrity / storage
-# benchmarks writing their BENCH_*.json baselines). The telemetry-off
-# build runs the full suite with the hooks compiled out: counter
-# assertions drop, every state check stays. ASan/UBSan and TSan re-run
-# the concurrency-sensitive suites (fault injection + checkpoint recovery
-# + engine/reference differential + multi-tenant isolation + resource
-# governance + durability hardening + buffer-pool storage).
+# labels, and the scan / service / governance / prepare / integrity /
+# storage benchmarks writing their BENCH_*.json baselines). ASan/UBSan and
+# TSan re-run the concurrency-sensitive suites (fault injection +
+# checkpoint recovery + engine/reference differential + multi-tenant
+# isolation + resource governance + durability hardening + buffer-pool
+# storage).
 #
 #   ./ci.sh            # everything
-#   ./ci.sh default    # one preset only (default | asan-ubsan | tsan |
-#                      #   telemetry-off)
+#   ./ci.sh default    # one preset only (default | asan-ubsan | tsan)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -111,6 +109,8 @@ run_preset() {
       ./build/bench/micro_service --json BENCH_service.json
       echo "==> [${preset}] resource-governance benchmark (gate: median paired overhead <3%)"
       ./build/bench/micro_governance --json BENCH_governance.json
+      echo "==> [${preset}] plan-cache benchmark (gate: cache on/off answers agree)"
+      ./build/bench/micro_prepare --json BENCH_prepare.json
       echo "==> [${preset}] durability acceptance suite"
       ctest --preset default -L durability
       echo "==> [${preset}] integrity-overhead benchmark"
@@ -125,10 +125,6 @@ run_preset() {
       check_storage_floors BENCH_storage.baseline.json BENCH_storage.json
       rm -f BENCH_storage.baseline.json
       ;;
-    telemetry-off)
-      echo "==> [${preset}] full test suite"
-      ctest --preset "${preset}"
-      ;;
     *)
       echo "==> [${preset}] resilience|recovery|engine|gains|service|governance|durability|storage suites"
       ctest --preset "${preset}"
@@ -139,7 +135,7 @@ run_preset() {
 if [[ $# -gt 0 ]]; then
   run_preset "$1"
 else
-  for preset in default telemetry-off asan-ubsan tsan; do
+  for preset in default asan-ubsan tsan; do
     run_preset "${preset}"
   done
 fi

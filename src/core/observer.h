@@ -41,12 +41,10 @@ struct DegradeEvent {
 /// Callbacks fired while an iterative or emulated-recursive CTE executes.
 /// OnRoundStart/OnRoundEnd/OnFallback arrive on the thread driving the run:
 /// the caller of SqLoop::Execute, or a JobServer dispatcher thread when the
-/// query runs as a service job. OnTaskComplete arrives on worker threads, possibly
-/// concurrently — implementations must be thread-safe — and only fires in
-/// telemetry-enabled builds (the default; see DESIGN.md "Observability").
-/// OnRetry and OnDegrade also arrive on worker threads and must be
-/// thread-safe; unlike OnTaskComplete they fire in ALL builds (resilience
-/// is behaviour, not observability).
+/// query runs as a service job. OnTaskComplete, OnRetry and OnDegrade arrive
+/// on worker threads, possibly concurrently — implementations must be
+/// thread-safe. OnTaskComplete fires once per task span, whether or not a
+/// Recorder is attached (see DESIGN.md "Observability").
 /// Callbacks must not re-enter the SqLoop instance that is executing.
 class ExecutionObserver {
  public:

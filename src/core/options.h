@@ -178,7 +178,7 @@ struct RunStats {
   double seconds = 0;
 
   // --- resilience (mirrored into the recorder as resilience.* counters,
-  // kept flat here so tests work with telemetry compiled out) ------------
+  // kept flat here so callers read them without attaching a Recorder) ---
   uint64_t retries = 0;               // transient failures retried
   uint64_t reopened_connections = 0;  // dropped connections re-armed
   uint64_t timeouts = 0;              // statements that blew their deadline

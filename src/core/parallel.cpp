@@ -1011,8 +1011,8 @@ bool ParallelRunner::RestoreFromCheckpoint() {
   }
   ctx_.stats.resumed_from_round = m.round;
   SQLOOP_COUNT(ctx_.recorder, "checkpoint.restores", 1);
-  SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kRestore, -1, start,
-                            run_watch_.ElapsedSeconds() - start, 0););
+  EmitSpan(telemetry::SpanKind::kRestore, -1, start,
+           run_watch_.ElapsedSeconds() - start, 0);
   return true;
 }
 
@@ -1036,9 +1036,8 @@ void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
     priorities_[partition] = priority;
     priority_known_[partition] = true;
   }
-  SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kPriority,
-                            static_cast<int64_t>(partition), start,
-                            run_watch_.ElapsedSeconds() - start, 0););
+  EmitSpan(telemetry::SpanKind::kPriority, static_cast<int64_t>(partition),
+           start, run_watch_.ElapsedSeconds() - start, 0);
 }
 
 bool ParallelRunner::PartitionEligible(size_t partition, double* rank) {
@@ -1503,8 +1502,8 @@ dbc::ResultSet ParallelRunner::Run() {
     CreateUnionView();
     MaterializeConstantJoins();
     BuildTaskSql();
-    SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kSetup, -1, setup_start,
-                              run_watch_.ElapsedSeconds() - setup_start, 0););
+    EmitSpan(telemetry::SpanKind::kSetup, -1, setup_start,
+             run_watch_.ElapsedSeconds() - setup_start, 0);
     RunRounds();
 
     const double final_start = run_watch_.ElapsedSeconds();
@@ -1512,8 +1511,8 @@ dbc::ResultSet ParallelRunner::Run() {
       return master_.conn().ExecuteQuery(
           translator_.Render(*with_.final_query));
     });
-    SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kFinal, -1, final_start,
-                              run_watch_.ElapsedSeconds() - final_start, 0););
+    EmitSpan(telemetry::SpanKind::kFinal, -1, final_start,
+             run_watch_.ElapsedSeconds() - final_start, 0);
 
     ctx_.stats.mode_used = ctx_.options.mode;
     ctx_.stats.parallelized = true;

@@ -118,7 +118,7 @@ class ParallelRunner {
   bool SkipIdleGather(size_t partition);
   bool SkipCleanCompute(size_t partition);
   /// Task wrappers: time the task into the per-round accumulators and emit
-  /// a TaskSpan (telemetry-enabled builds only).
+  /// a TaskSpan.
   uint64_t TimedCompute(size_t partition, dbc::Connection& conn,
                         ComputeAttempt& attempt);
   uint64_t TimedGather(size_t partition, dbc::Connection& conn);

@@ -61,7 +61,6 @@ void ResilientConn::BestEffort(
 void EmitSpan(telemetry::Recorder* recorder, ExecutionObserver* observer,
               telemetry::SpanKind kind, int64_t round, int64_t partition,
               double start, double duration, uint64_t updates) {
-#if SQLOOP_TELEMETRY_ENABLED
   if (recorder == nullptr && observer == nullptr) return;
   telemetry::TaskSpan span;
   span.kind = kind;
@@ -73,10 +72,6 @@ void EmitSpan(telemetry::Recorder* recorder, ExecutionObserver* observer,
   span.updates = updates;
   if (recorder != nullptr) recorder->RecordSpan(span);
   if (observer != nullptr) observer->OnTaskComplete(span);
-#else
-  (void)recorder, (void)observer, (void)kind, (void)round, (void)partition,
-      (void)start, (void)duration, (void)updates;
-#endif
 }
 
 void RecordRound(const ExecutionContext& ctx, const Stopwatch& watch,

@@ -111,7 +111,7 @@ struct RoundLease {
 };
 
 /// Records one attributed unit of work as a TaskSpan. A no-op without a
-/// recorder and observer; compiled out with the telemetry hooks.
+/// recorder and observer.
 void EmitSpan(telemetry::Recorder* recorder, ExecutionObserver* observer,
               telemetry::SpanKind kind, int64_t round, int64_t partition,
               double start, double duration, uint64_t updates = 0);

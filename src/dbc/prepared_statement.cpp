@@ -16,9 +16,7 @@ PreparedStatement Connection::Prepare(std::string sql) {
   PayRoundTrip();  // ship the statement text for server-side compilation
   ++stats_.prepared_statements;
   SQLOOP_COUNT(recorder_, "dbc.prepared_statements", 1);
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch prepare_watch;
-#endif
   PreparedStatement prepared(*this, std::move(sql));
   SQLOOP_TIME_SECONDS(recorder_, "dbc.prepare_seconds",
                       prepare_watch.ElapsedSeconds());
@@ -172,9 +170,7 @@ ResultSet PreparedStatement::Execute() {
   SQLOOP_COUNT(conn_->recorder_, "dbc.prepared_executions", 1);
   conn_->EnsureTransactionIfNeeded();
   if (EnsureFresh()) conn_->PayCompile();
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch execute_watch;
-#endif
   conn_->ArmStatementDeadline();
   ResultSet result;
   try {

@@ -237,22 +237,24 @@ Value Evaluate(const sql::Expr& expr, const EvalContext& ctx) {
       return Value(int64_t{Truthy(v) ? 0 : 1});
     }
     case sql::ExprKind::kBinary: {
+      // Left operand first: C++ leaves the order of call arguments
+      // unspecified, and which operand's error a statement names must not
+      // depend on the compiler.
+      const Value left = Evaluate(*expr.left, ctx);
+      const Value right = Evaluate(*expr.right, ctx);
       switch (expr.binary_op) {
         case sql::BinaryOp::kAnd:
         case sql::BinaryOp::kOr:
-          return Logical(expr.binary_op, Evaluate(*expr.left, ctx),
-                         Evaluate(*expr.right, ctx));
+          return Logical(expr.binary_op, left, right);
         case sql::BinaryOp::kEq:
         case sql::BinaryOp::kNotEq:
         case sql::BinaryOp::kLess:
         case sql::BinaryOp::kLessEq:
         case sql::BinaryOp::kGreater:
         case sql::BinaryOp::kGreaterEq:
-          return Comparison(expr.binary_op, Evaluate(*expr.left, ctx),
-                            Evaluate(*expr.right, ctx));
+          return Comparison(expr.binary_op, left, right);
         default:
-          return Arithmetic(expr.binary_op, Evaluate(*expr.left, ctx),
-                            Evaluate(*expr.right, ctx));
+          return Arithmetic(expr.binary_op, left, right);
       }
     }
     case sql::ExprKind::kFunction:

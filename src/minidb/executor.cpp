@@ -41,9 +41,7 @@ class LockSet {
   }
 
   void AcquireAll() {
-#if SQLOOP_TELEMETRY_ENABLED
     const Stopwatch watch;
-#endif
     for (auto& [name, entry] : entries_) {
       if (entry.write) {
         entry.table->lock().lock();
@@ -2881,9 +2879,7 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
 ParsedStatement ParseCounted(std::string_view text,
                              telemetry::Recorder* recorder) {
   SQLOOP_COUNT(recorder, "sql.parse_count", 1);
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch parse_watch;
-#endif
   ParsedStatement parsed;
   parsed.ast = sql::ParseStatement(text);
   SQLOOP_TIME_SECONDS(recorder, "sql.parse_seconds",

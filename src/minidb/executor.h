@@ -118,8 +118,7 @@ class Executor {
   static constexpr int64_t kMaxRecursions = 100000;
 
   /// Attributes server-side costs (rows examined, lock-wait time) to a
-  /// telemetry recorder; null detaches. Only consulted in telemetry-enabled
-  /// builds — the counting hooks compile out otherwise.
+  /// telemetry recorder; null detaches.
   void set_recorder(telemetry::Recorder* recorder) noexcept {
     recorder_ = recorder;
   }

@@ -1,35 +1,10 @@
-// Hot-path instrumentation hooks, compiled out entirely when the build sets
-// SQLOOP_TELEMETRY_ENABLED=0 (cmake -DSQLOOP_TELEMETRY=OFF).
-//
-// The hooks guard the code that runs once per statement or per task —
-// counter increments in dbc::Connection and minidb's executor, lock-wait
-// timing, and TaskSpan event emission. When disabled the macros expand to
-// nothing and their arguments are never evaluated (the off-probe test
-// proves this at link time), so the hot path carries zero overhead.
-//
-// The structured per-round IterationStats recording is NOT behind these
-// macros: it runs once per round, costs nothing measurable, and is part of
-// the execution API (RunStats::per_iteration(), ExecutionObserver) that
-// must keep working in every build.
+// Hot-path instrumentation hooks: per-statement counter increments in
+// dbc::Connection and minidb's executor, and lock-wait/parse/execute timing.
+// Each hook is one null check on the Recorder*; the stopwatches that feed
+// the timers read the clock whether or not a recorder is attached.
 #pragma once
 
-#ifndef SQLOOP_TELEMETRY_ENABLED
-#define SQLOOP_TELEMETRY_ENABLED 1
-#endif
-
-#if SQLOOP_TELEMETRY_ENABLED
-
 #include "telemetry/recorder.h"
-
-namespace sqloop::telemetry {
-inline constexpr bool kHooksEnabled = true;
-}  // namespace sqloop::telemetry
-
-/// Runs a statement block only in telemetry-enabled builds.
-#define SQLOOP_TELEMETRY(...) \
-  do {                        \
-    __VA_ARGS__               \
-  } while (0)
 
 /// Adds `delta` to counter `name` on `rec` (a Recorder*, may be null).
 #define SQLOOP_COUNT(rec, name, delta)            \
@@ -42,21 +17,3 @@ inline constexpr bool kHooksEnabled = true;
   do {                                                    \
     if ((rec) != nullptr) (rec)->AddSeconds((name), (seconds)); \
   } while (0)
-
-#else  // SQLOOP_TELEMETRY_ENABLED
-
-namespace sqloop::telemetry {
-inline constexpr bool kHooksEnabled = false;
-}  // namespace sqloop::telemetry
-
-#define SQLOOP_TELEMETRY(...) \
-  do {                        \
-  } while (0)
-#define SQLOOP_COUNT(rec, name, delta) \
-  do {                                 \
-  } while (0)
-#define SQLOOP_TIME_SECONDS(rec, name, seconds) \
-  do {                                          \
-  } while (0)
-
-#endif  // SQLOOP_TELEMETRY_ENABLED

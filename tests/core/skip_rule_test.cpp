@@ -183,10 +183,8 @@ TEST(SkipRule, SkippedTasksEmitNoSpanAndSumPerRoundInEveryMode) {
     EXPECT_EQ(compute, stats.compute_tasks);
     EXPECT_EQ(gather, stats.gather_tasks);
     EXPECT_EQ(skipped, stats.skipped_tasks);
-#if SQLOOP_TELEMETRY_ENABLED
     EXPECT_EQ(spans.computes.load(), stats.compute_tasks);
     EXPECT_EQ(spans.gathers.load(), stats.gather_tasks);
-#endif
   }
 }
 

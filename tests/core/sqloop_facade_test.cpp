@@ -7,7 +7,7 @@
 #include "common/error.h"
 #include "core/workloads.h"
 #include "graph/generators.h"
-#include "telemetry/hooks.h"
+#include "telemetry/recorder.h"
 #include "tests/core/core_test_util.h"
 
 namespace sqloop::core {
@@ -216,11 +216,9 @@ TEST(Facade, ObserverSeesEveryRoundBoundary) {
   EXPECT_EQ(observer.starts, loop.last_run().iterations);
   EXPECT_EQ(observer.ends, loop.last_run().iterations);
   EXPECT_EQ(observer.updates, loop.last_run().total_updates);
-  if (telemetry::kHooksEnabled) {
-    // Every Compute/Gather task plus the setup/final master spans.
-    EXPECT_GE(static_cast<uint64_t>(observer.tasks.load()),
-              loop.last_run().compute_tasks + loop.last_run().gather_tasks);
-  }
+  // Every Compute/Gather task plus the setup/final master spans.
+  EXPECT_GE(static_cast<uint64_t>(observer.tasks.load()),
+            loop.last_run().compute_tasks + loop.last_run().gather_tasks);
   loop.set_observer(nullptr);
 }
 

@@ -8,7 +8,7 @@
 #include "common/fault.h"
 #include "dbc/driver.h"
 #include "minidb/server.h"
-#include "telemetry/hooks.h"
+#include "telemetry/recorder.h"
 
 namespace sqloop::dbc {
 namespace {
@@ -146,16 +146,12 @@ TEST_F(DbcTest, RecorderAttributesStatementsAndBatches) {
   conn->ExecuteBatch();
   conn->ExecuteQuery("SELECT COUNT(*) FROM t");
 
-  if (telemetry::kHooksEnabled) {
-    EXPECT_EQ(rec.counter("dbc.round_trips"), 3u);  // 2 Executes + 1 batch
-    EXPECT_EQ(rec.counter("dbc.statements"), 4u);
-    EXPECT_EQ(rec.counter("dbc.batches"), 1u);
-    EXPECT_EQ(rec.counter("dbc.batch_statements"), 2u);
-    // The engine attributed its scan volume to the same recorder.
-    EXPECT_GT(rec.counter("minidb.rows_examined"), 0u);
-  } else {
-    EXPECT_EQ(rec.Counters().size(), 0u);
-  }
+  EXPECT_EQ(rec.counter("dbc.round_trips"), 3u);  // 2 Executes + 1 batch
+  EXPECT_EQ(rec.counter("dbc.statements"), 4u);
+  EXPECT_EQ(rec.counter("dbc.batches"), 1u);
+  EXPECT_EQ(rec.counter("dbc.batch_statements"), 2u);
+  // The engine attributed its scan volume to the same recorder.
+  EXPECT_GT(rec.counter("minidb.rows_examined"), 0u);
 
   // Detached: no further attribution.
   conn->set_recorder(nullptr);

@@ -17,7 +17,7 @@
 #include "graph/reference.h"
 #include "minidb/server.h"
 #include "telemetry/exporters.h"
-#include "telemetry/hooks.h"
+#include "telemetry/recorder.h"
 
 namespace sqloop {
 namespace {
@@ -262,13 +262,11 @@ TEST_F(EndToEndTest, TelemetryExportersRoundTripARealRun) {
 
   const auto recorder = loop.last_run().recorder;
   ASSERT_NE(recorder, nullptr);
-  if (telemetry::kHooksEnabled) {
-    // Statement counters attributed across both layers and all threads.
-    EXPECT_GT(recorder->counter("dbc.statements"), 0u);
-    EXPECT_GT(recorder->counter("dbc.round_trips"), 0u);
-    EXPECT_GT(recorder->counter("minidb.rows_examined"), 0u);
-    EXPECT_GT(recorder->span_count(), 0u);
-  }
+  // Statement counters attributed across both layers and all threads.
+  EXPECT_GT(recorder->counter("dbc.statements"), 0u);
+  EXPECT_GT(recorder->counter("dbc.round_trips"), 0u);
+  EXPECT_GT(recorder->counter("minidb.rows_examined"), 0u);
+  EXPECT_GT(recorder->span_count(), 0u);
 
   // JSONL round-trips losslessly through the reader.
   const std::string jsonl = telemetry::JsonLines(*recorder);

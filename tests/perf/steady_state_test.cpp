@@ -93,13 +93,9 @@ SqloopOptions Options(ExecutionMode mode) {
 }
 
 void ExpectRecorderAgrees(const ProbeRun& run) {
-#if SQLOOP_TELEMETRY_ENABLED
   ASSERT_NE(run.stats.recorder, nullptr);
   EXPECT_EQ(run.stats.recorder->counter("sql.parse_count"),
             run.parses_during_run);
-#else
-  (void)run;
-#endif
 }
 
 TEST(SteadyStateRounds, SyncAndSingleThreadPageRankParseNothingAfterRound2) {
@@ -116,14 +112,12 @@ TEST(SteadyStateRounds, SyncAndSingleThreadPageRankParseNothingAfterRound2) {
     EXPECT_TRUE(run.probe.CatalogStableAfterRound2());
     EXPECT_EQ(run.probe.ParsesAfterRound2(), 0u);
     ExpectRecorderAgrees(run);
-#if SQLOOP_TELEMETRY_ENABLED
     // Every core of the Sync job — setup, the Compute join, the Gather,
     // the final query — runs on the batch engine: a core that fell back
     // to the reference pipeline would copy its scan into a Relation.
     if (mode == ExecutionMode::kSync) {
       EXPECT_EQ(run.stats.recorder->counter("minidb.rows_materialized"), 0u);
     }
-#endif
   }
 }
 
@@ -204,14 +198,12 @@ TEST(SteadyStateRounds, SyncSsspComputesExactlyThePendingPartitions) {
   ASSERT_GE(rounds.size(), 3u);
   // The seed makes every partition pending for round 1.
   EXPECT_EQ(rounds.front().compute_tasks, 8u);
-#if SQLOOP_TELEMETRY_ENABLED
   // Afterwards a round computes exactly the partitions the previous
   // round's Gathers changed.
   for (size_t i = 1; i < rounds.size(); ++i) {
     EXPECT_EQ(rounds[i].compute_tasks, probe.ChangedIn(rounds[i - 1].round))
         << "round " << rounds[i].round;
   }
-#endif
   // The quiescent last round has nothing pending: it dispatches no
   // Compute, so nothing is sent and no Gather runs either.
   EXPECT_EQ(rounds.back().updates, 0u);

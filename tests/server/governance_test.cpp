@@ -29,7 +29,7 @@
 #include "minidb/database.h"
 #include "minidb/executor.h"
 #include "server/job_server.h"
-#include "telemetry/hooks.h"
+#include "telemetry/recorder.h"
 #include "tests/core/core_test_util.h"
 
 namespace sqloop::server {
@@ -255,11 +255,9 @@ TEST(GovernanceTest, CancelPreemptsAStatementInFlight) {
   // the statement, so the cancel returns in well under the seconds the
   // full join needs.
   EXPECT_LT(latency, 2000) << "cancel had to wait the statement out";
-#if SQLOOP_TELEMETRY_ENABLED
   EXPECT_GE(TenantCounter(server, "tenant",
                           "governance.mid_statement_cancels"),
             1u);
-#endif
   // Regression (the Retrier must classify cancellation as fatal): the
   // cancelled statement was never retried.
   EXPECT_EQ(job.Stats().retries, 0u);
@@ -292,10 +290,8 @@ TEST(GovernanceTest, CancelLatencyStaysUnderOneRoundOnBatchedPath) {
       .Submit("SELECT COUNT(*) FROM edges WHERE src >= 0",
               SingleThreadOptions())
       .Wait();
-#if SQLOOP_TELEMETRY_ENABLED
   EXPECT_GE(TenantCounter(server, "tenant", "minidb.batches_produced"), 1u);
   EXPECT_GE(TenantCounter(server, "tenant", "minidb.vectorized_cores"), 1u);
-#endif
 
   core::SqloopOptions options = SingleThreadOptions();
   options.memory_limit_bytes = 256LL * 1024 * 1024;
@@ -317,11 +313,9 @@ TEST(GovernanceTest, CancelLatencyStaysUnderOneRoundOnBatchedPath) {
   // The batch-granular governor must come back orders of magnitude
   // sooner.
   EXPECT_LT(latency, 2000) << "batched path deferred the cancel";
-#if SQLOOP_TELEMETRY_ENABLED
   EXPECT_GE(TenantCounter(server, "tenant",
                           "governance.mid_statement_cancels"),
             1u);
-#endif
 }
 
 TEST(GovernanceTest, JoinFanOutCountsTowardCancelCheckRows) {
