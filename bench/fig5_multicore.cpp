@@ -32,30 +32,26 @@ void Sweep(const std::string& label, const EngineFleet& fleet,
            const std::string& workload, const std::string& query,
            int partitions) {
   std::cout << "[" << label << "]\n";
-  std::cout << "engine      mode    ";
-  for (const int t : ThreadCounts()) std::cout << "t=" << t << "      ";
-  std::cout << "\n";
+  std::cout << "engine      mode    threads  exec_time_s  rounds  updates\n";
   for (const auto& engine : Engines()) {
     for (const auto mode : kModes) {
-      std::cout << std::left << std::setw(12) << engine << std::setw(8)
-                << ModeLabel(mode);
-      std::vector<std::pair<int, double>> row;
       for (const int threads : ThreadCounts()) {
         const auto run =
             RunQuery(fleet.Url(engine),
                      ModeOptions(mode, threads, partitions, workload), query);
-        std::cout << std::fixed << std::setprecision(3) << std::setw(9)
-                  << run.seconds;
-        row.emplace_back(threads, run.seconds);
-      }
-      std::cout << "\n";
-      for (const auto& [threads, seconds] : row) {
+        std::cout << std::left << std::setw(12) << engine << std::setw(8)
+                  << ModeLabel(mode) << std::setw(9) << threads << std::fixed
+                  << std::setprecision(3) << std::setw(13) << run.seconds
+                  << std::setw(8) << run.stats.iterations
+                  << run.stats.total_updates << "\n";
         ResultLine("fig5")
             .Add("panel", label)
             .Add("engine", engine)
             .Add("mode", ModeLabel(mode))
             .Add("threads", threads)
-            .Add("seconds", seconds)
+            .Add("seconds", run.seconds)
+            .Add("rounds", run.stats.iterations)
+            .Add("updates", static_cast<int64_t>(run.stats.total_updates))
             .Print();
       }
     }

@@ -30,7 +30,7 @@ PreparedStatement Connection::Prepare(std::string sql) {
 PreparedStatement::PreparedStatement(Connection& conn, std::string sql)
     : conn_(&conn), sql_(std::move(sql)) {
   if (conn_->db_->plan_cache().enabled()) {
-    plan_ = conn_->executor_.Prepare(sql_, /*pin=*/true);
+    plan_ = conn_->executor_.Prepare(sql_);
     param_count_ = plan_->param_count;
     bound_ = plan_->ast->Clone();
     CollectSlots();
@@ -118,14 +118,14 @@ bool PreparedStatement::EnsureFresh() {
   }
   if (plan_ == nullptr) {
     // Prepared while the cache was off, or first execute after re-enable.
-    plan_ = conn_->executor_.Prepare(sql_, /*pin=*/true);
+    plan_ = conn_->executor_.Prepare(sql_);
     return conn_->executor_.last_prepare_parsed();
   }
   if (plan_->bound_version != db.catalog_version()) {
     // DDL happened since the plan was bound. Prepare() reuses the cached
     // AST and only re-binds the lock plan — no re-parse. bound_ stays: the
     // AST for a fixed text never changes.
-    plan_ = conn_->executor_.Prepare(sql_, /*pin=*/true);
+    plan_ = conn_->executor_.Prepare(sql_);
     return conn_->executor_.last_prepare_parsed();
   }
   // The handle's plan is still bound to the live catalog: served from the

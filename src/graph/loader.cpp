@@ -1,9 +1,13 @@
 #include "graph/loader.h"
 
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "dbc/prepared_statement.h"
 #include "sql/printer.h"
-#include "sql/value.h"
 
 namespace sqloop::graph {
 
@@ -27,40 +31,34 @@ void LoadEdges(dbc::Connection& connection, const Graph& graph,
   create.unlogged = true;
   connection.Execute(sql::PrintStatement(create, dialect));
 
-  // Multi-row INSERT statements, several per batch round trip.
+  // Rows are bound, never spelled as literals: one prepared multi-row
+  // INSERT carries every full statement, one more the remainder, so a load
+  // compiles at most two INSERT texts and stores each weight bit for bit.
   constexpr size_t kStatementsPerBatch = 8;
-  std::string statement;
-  size_t rows_in_statement = 0;
-  size_t statements_in_batch = 0;
-
-  const auto flush_statement = [&] {
-    if (rows_in_statement == 0) return;
-    connection.AddBatch(std::move(statement));
-    statement.clear();
-    rows_in_statement = 0;
-    if (++statements_in_batch >= kStatementsPerBatch) {
-      connection.ExecuteBatch();
-      statements_in_batch = 0;
+  const size_t rows_per_statement = std::max<size_t>(options.batch_size, 1);
+  const std::vector<Edge>& edges = graph.edges();
+  std::optional<dbc::PreparedStatement> insert;
+  for (size_t begin = 0; begin < edges.size(); begin += rows_per_statement) {
+    const size_t rows = std::min(rows_per_statement, edges.size() - begin);
+    if (!insert || insert->parameter_count() != static_cast<int>(3 * rows)) {
+      if (insert && insert->batch_size() > 0) insert->ExecuteBatch();
+      std::string sql = "INSERT INTO " +
+                        sql::QuoteIdentifier(options.table_name, dialect) +
+                        " VALUES (?, ?, ?)";
+      for (size_t i = 1; i < rows; ++i) sql += ", (?, ?, ?)";
+      insert = connection.Prepare(std::move(sql));
     }
-  };
-
-  for (const Edge& edge : graph.edges()) {
-    if (rows_in_statement == 0) {
-      statement = "INSERT INTO " +
-                  sql::QuoteIdentifier(options.table_name, dialect) +
-                  " VALUES ";
-    } else {
-      statement += ", ";
+    for (size_t i = 0; i < rows; ++i) {
+      const Edge& edge = edges[begin + i];
+      const int slot = static_cast<int>(3 * i);
+      insert->SetInt64(slot + 1, edge.src);
+      insert->SetInt64(slot + 2, edge.dst);
+      insert->SetDouble(slot + 3, edge.weight);
     }
-    statement += "(" + std::to_string(edge.src) + ", " +
-                 std::to_string(edge.dst) + ", " +
-                 Value(edge.weight).ToSqlLiteral() + ")";
-    if (++rows_in_statement >= options.batch_size) flush_statement();
+    insert->AddBatch();
+    if (insert->batch_size() >= kStatementsPerBatch) insert->ExecuteBatch();
   }
-  flush_statement();
-  if (statements_in_batch > 0 || connection.batch_size() > 0) {
-    connection.ExecuteBatch();
-  }
+  if (insert && insert->batch_size() > 0) insert->ExecuteBatch();
 
   if (options.create_indexes) {
     connection.Execute("CREATE INDEX " +

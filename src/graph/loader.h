@@ -1,6 +1,7 @@
 // Loads a Graph into a database's `edges(src, dst, weight)` table through
 // a dbc connection — the "data already lives in the RDBMS" premise of the
-// paper. Uses batched inserts to amortize round trips.
+// paper. Binds its rows into prepared multi-row INSERTs, several per
+// round trip.
 #pragma once
 
 #include <string>
@@ -12,7 +13,7 @@ namespace sqloop::graph {
 
 struct LoadOptions {
   std::string table_name = "edges";
-  size_t batch_size = 500;  // statements per ExecuteBatch round trip
+  size_t batch_size = 500;  // rows per INSERT statement
   bool create_indexes = true;  // src and dst indexes (paper §V-C uses them)
   bool drop_existing = true;
 };

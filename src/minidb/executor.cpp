@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <unordered_set>
 
 #include "common/error.h"
 #include "common/stopwatch.h"
@@ -2924,25 +2925,13 @@ std::shared_ptr<const CachedPlan> Executor::Rebind(const CachedPlan& stale,
   return rebound;
 }
 
-std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text,
-                                                    bool pin) {
+std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text) {
   PlanCache& cache = db_.plan_cache();
   if (!cache.enabled()) {
     throw UsageError("Prepare requires the plan cache to be enabled");
   }
   last_prepare_parsed_ = false;
   const uint64_t version = db_.catalog_version();
-  std::string raw(text);
-  if (const auto it = local_plans_.find(raw); it != local_plans_.end()) {
-    // Hot path: this connection has executed the exact text before. No
-    // shared state is touched unless the catalog moved underneath us.
-    SQLOOP_COUNT(recorder_, "minidb.plan_cache_hits", 1);
-    cache.NoteLocalHit();
-    if (it->second->bound_version != version) {
-      it->second = Rebind(*it->second, version);
-    }
-    return it->second;
-  }
   const std::string key =
       db_.profile().name + '\x1f' + NormalizeSqlKey(text);
   if (auto entry = cache.Lookup(key)) {
@@ -2953,8 +2942,6 @@ std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text,
       entry = Rebind(*entry, version);
       cache.Put(key, entry);
     }
-    if (local_plans_.size() >= kLocalPlanCapacity) local_plans_.clear();
-    local_plans_.emplace(std::move(raw), entry);
     return entry;
   }
   SQLOOP_COUNT(recorder_, "minidb.plan_cache_misses", 1);
@@ -2965,14 +2952,7 @@ std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text,
   plan->ast = std::move(parsed.ast);
   plan->locks = std::make_shared<const LockPlan>(BuildLockPlan(*plan->ast));
   plan->bound_version = version;
-  if (pin || first_misses_.erase(key) > 0) {
-    cache.Put(key, plan);
-    if (local_plans_.size() >= kLocalPlanCapacity) local_plans_.clear();
-    local_plans_.emplace(std::move(raw), plan);
-  } else {
-    if (first_misses_.size() >= kLocalPlanCapacity) first_misses_.clear();
-    first_misses_.insert(key);
-  }
+  cache.Put(key, plan);
   return plan;
 }
 

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cancel.h"
@@ -78,13 +77,10 @@ class Executor {
   ResultSet ExecuteSql(std::string_view text, Session* session = nullptr);
 
   /// Compile-once entry point: returns the cached plan for `text`, parsing
-  /// on a cache miss and re-binding the lock plan if DDL happened since it
-  /// was bound. The handle stays valid after eviction and across Reopen.
-  /// `pin` declares the text reusable (an explicit PREPARE): it enters the
-  /// shared cache on first compile instead of waiting for a second sighting.
-  /// Throws UsageError when the plan cache is disabled.
-  std::shared_ptr<const CachedPlan> Prepare(std::string_view text,
-                                            bool pin = false);
+  /// and caching it on a miss and re-binding the lock plan if DDL happened
+  /// since it was bound. The handle stays valid after eviction and across
+  /// Reopen. Throws UsageError when the plan cache is disabled.
+  std::shared_ptr<const CachedPlan> Prepare(std::string_view text);
 
   /// Whether the most recent Prepare call actually parsed (cache miss) as
   /// opposed to serving a cached plan. Feeds the dbc compile-cost model.
@@ -357,22 +353,6 @@ class Executor {
                                            uint64_t version);
 
   Database& db_;
-  // Connection-local plan map (L1 in front of the shared PlanCache),
-  // keyed by raw statement text. Ad-hoc statements a connection repeats
-  // (termination probes, service jobs' loop statements) are served from
-  // here without touching the shared cache mutex. Capped: a long-lived
-  // connection also runs one-off text — every job's setup DDL names its
-  // own partition tables — which would otherwise grow it without bound.
-  static constexpr size_t kLocalPlanCapacity = 256;
-  std::unordered_map<std::string, std::shared_ptr<const CachedPlan>>
-      local_plans_;
-  // Keys this connection has compiled exactly once. Ad-hoc text only
-  // enters the shared cache on its second compile, so single-use
-  // statements never evict the pinned round-loop texts from the shared
-  // LRU: a parallel job's setup runs a few hundred distinct DDL/DML texts
-  // (more than the LRU holds alongside the task texts), and promoting
-  // them on first sight doubled sssp-async's parses per job.
-  std::unordered_set<std::string> first_misses_;
   bool last_prepare_parsed_ = false;
   // Scan-volume accounting for the statement currently executing (each
   // connection owns its Executor, so no synchronization is needed).

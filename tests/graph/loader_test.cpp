@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dbc/driver.h"
 #include "graph/generators.h"
 #include "minidb/server.h"
@@ -56,6 +59,33 @@ TEST_P(LoaderTest, ReloadReplacesExistingTable) {
   const auto second =
       conn_->ExecuteQuery("SELECT COUNT(*) FROM edges").rows[0][0].as_int();
   EXPECT_LT(second, first);
+}
+
+TEST_P(LoaderTest, BindsRowsBitForBitThroughAtMostTwoInsertTexts) {
+  const Graph g = MakeWebGraph(200, 3, 17);
+  LoadOptions options;
+  options.batch_size = 7;  // many full statements plus a remainder
+  ASSERT_NE(g.edge_count() % options.batch_size, 0u);
+  const minidb::PlanCache& cache = conn_->database().plan_cache();
+  const uint64_t misses0 = cache.misses();
+  LoadEdges(*conn_, g, options);
+  // DROP, CREATE TABLE and two CREATE INDEX texts, plus the full-statement
+  // INSERT and the remainder INSERT: nothing else compiles.
+  constexpr uint64_t kDdlTexts = 4;
+  EXPECT_LE(cache.misses() - misses0, kDdlTexts + 2);
+
+  // Rows land in insertion order, each weight exactly the double bound.
+  const auto stored = conn_->ExecuteQuery("SELECT src, dst, weight FROM edges");
+  ASSERT_EQ(stored.rows.size(), g.edge_count());
+  for (size_t i = 0; i < g.edge_count(); ++i) {
+    const Edge& edge = g.edges()[i];
+    const auto& row = stored.rows[i];
+    EXPECT_EQ(row[0].as_int(), edge.src) << "row " << i;
+    EXPECT_EQ(row[1].as_int(), edge.dst) << "row " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(row[2].as_double()),
+              std::bit_cast<uint64_t>(edge.weight))
+        << "row " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, LoaderTest,

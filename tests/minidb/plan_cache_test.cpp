@@ -1,8 +1,8 @@
-// Plan-cache semantics: key normalization, the second-sighting promotion
-// policy for ad-hoc text vs. pinned prepares, rebind-not-reparse
-// invalidation on DDL, view re-expansion, engine-profile isolation, LRU
-// eviction, and the regression that a stale cached plan can never read a
-// dropped index (index choice happens at execution time).
+// Plan-cache semantics: key normalization, the one admission rule (every
+// compile enters the shared LRU), rebind-not-reparse invalidation on DDL,
+// view re-expansion, engine-profile isolation, LRU eviction, and the
+// regression that a stale cached plan can never read a dropped index
+// (index choice happens at execution time).
 #include "minidb/plan_cache.h"
 
 #include <gtest/gtest.h>
@@ -44,23 +44,23 @@ TEST_F(PlanCacheFixture, AdHocTextIsPromotedOnSecondSighting) {
   const std::string sql = "SELECT SUM(v) FROM t";
   const uint64_t hits0 = cache().hits();
   const uint64_t misses0 = cache().misses();
-  // First sighting compiles but does not enter the shared cache (single-use
-  // statements would churn the LRU); the second compiles once more and
-  // promotes; from the third on the plan is served from cache.
+  // Every compile enters the shared cache: the first execution parses, and
+  // from the second sighting on — even spelled with other whitespace — the
+  // plan is served from cache.
   Run(sql);
   EXPECT_EQ(cache().misses(), misses0 + 1);
+  Run("SELECT   SUM(v)\nFROM t");
+  EXPECT_EQ(cache().misses(), misses0 + 1);
+  EXPECT_EQ(cache().hits(), hits0 + 1);
   Run(sql);
-  EXPECT_EQ(cache().misses(), misses0 + 2);
-  Run(sql);
-  Run(sql);
-  EXPECT_EQ(cache().misses(), misses0 + 2);
+  EXPECT_EQ(cache().misses(), misses0 + 1);
   EXPECT_EQ(cache().hits(), hits0 + 2);
 }
 
 TEST_F(PlanCacheFixture, PinnedPrepareEntersCacheImmediately) {
   const std::string sql = "SELECT COUNT(*) FROM t";
   const uint64_t misses0 = cache().misses();
-  const auto plan = exec_.Prepare(sql, /*pin=*/true);
+  const auto plan = exec_.Prepare(sql);
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(cache().misses(), misses0 + 1);
   // The same text — even spelled with different whitespace — now hits.
@@ -73,7 +73,7 @@ TEST_F(PlanCacheFixture, PinnedPrepareEntersCacheImmediately) {
 
 TEST_F(PlanCacheFixture, DdlRebindsWithoutReparsing) {
   const std::string sql = "SELECT id FROM t WHERE v > 1.0";
-  exec_.Prepare(sql, /*pin=*/true);
+  exec_.Prepare(sql);
   const uint64_t misses0 = cache().misses();
   const uint64_t rebinds0 = cache().rebinds();
 
@@ -89,7 +89,7 @@ TEST_F(PlanCacheFixture, DdlRebindsWithoutReparsing) {
 
 TEST_F(PlanCacheFixture, CreateAndDropIndexForceReplan) {
   const std::string sql = "SELECT v FROM t WHERE id = 2";
-  exec_.Prepare(sql, /*pin=*/true);
+  exec_.Prepare(sql);
   const uint64_t version0 = db_.catalog_version();
 
   Run("CREATE INDEX t_id ON t (id)");
@@ -111,7 +111,7 @@ TEST_F(PlanCacheFixture, StaleCachedPlanNeverReadsDroppedIndex) {
   // touch freed index structures — ASan would catch that).
   Run("CREATE INDEX t_id ON t (id)");
   const std::string sql = "SELECT v FROM t WHERE id = 3";
-  exec_.Prepare(sql, /*pin=*/true);
+  exec_.Prepare(sql);
   EXPECT_DOUBLE_EQ(Run(sql).rows.at(0).at(0).as_double(), 2.5);
 
   Run("DROP INDEX t_id ON t");
@@ -128,7 +128,7 @@ TEST_F(PlanCacheFixture, ViewRedefinitionIsReflectedOnNextExecution) {
   Run("CREATE VIEW w AS SELECT x FROM a");
 
   const std::string sql = "SELECT SUM(x) FROM w";
-  exec_.Prepare(sql, /*pin=*/true);
+  exec_.Prepare(sql);
   EXPECT_EQ(Run(sql).rows.at(0).at(0).as_int(), 1);
 
   // Redefine the view over a different base table: the cached plan's view
@@ -140,7 +140,7 @@ TEST_F(PlanCacheFixture, ViewRedefinitionIsReflectedOnNextExecution) {
 
 TEST_F(PlanCacheFixture, DroppedAndRecreatedTableResolvesFresh) {
   const std::string sql = "SELECT COUNT(*) FROM t";
-  exec_.Prepare(sql, /*pin=*/true);
+  exec_.Prepare(sql);
   EXPECT_EQ(Run(sql).rows.at(0).at(0).as_int(), 3);
 
   // Table pointers are re-resolved by name at execution, so a cached plan
@@ -164,14 +164,15 @@ TEST(PlanCacheIsolationTest, EngineProfilesDoNotShareEntries) {
   const std::string sql = "SELECT COUNT(*) FROM t";
   pg_exec.ExecuteSql(ddl);
   my_exec.ExecuteSql(ddl);
-  pg_exec.Prepare(sql, /*pin=*/true);
-  EXPECT_EQ(pg.plan_cache().size(), 1u);
-  EXPECT_EQ(my.plan_cache().size(), 0u);
+  pg_exec.Prepare(sql);
+  // Each cache holds its own DDL text; only postgres holds the SELECT.
+  EXPECT_EQ(pg.plan_cache().size(), 2u);
+  EXPECT_EQ(my.plan_cache().size(), 1u);
 
   // The other engine compiles its own plan: a fresh miss, not a hit.
   const uint64_t my_hits0 = my.plan_cache().hits();
   const uint64_t my_misses0 = my.plan_cache().misses();
-  my_exec.Prepare(sql, /*pin=*/true);
+  my_exec.Prepare(sql);
   EXPECT_EQ(my.plan_cache().hits(), my_hits0);
   EXPECT_EQ(my.plan_cache().misses(), my_misses0 + 1);
 }
@@ -214,15 +215,15 @@ TEST_F(PlanCacheFixture, DisabledCacheMissesEverythingAndRejectsPrepare) {
   EXPECT_EQ(Run("SELECT COUNT(*) FROM t").rows.at(0).at(0).as_int(), 3);
   EXPECT_EQ(Run("SELECT COUNT(*) FROM t").rows.at(0).at(0).as_int(), 3);
   EXPECT_EQ(cache().size(), size0);
-  EXPECT_THROW(exec_.Prepare("SELECT 1", /*pin=*/true), UsageError);
+  EXPECT_THROW(exec_.Prepare("SELECT 1"), UsageError);
   db_.plan_cache().set_enabled(true);
 }
 
 TEST_F(PlanCacheFixture, PreparedPlanReportsParameterCount) {
   const auto plan =
-      exec_.Prepare("SELECT v FROM t WHERE id = ? OR v > ?", /*pin=*/true);
+      exec_.Prepare("SELECT v FROM t WHERE id = ? OR v > ?");
   EXPECT_EQ(plan->param_count, 2);
-  const auto none = exec_.Prepare("SELECT v FROM t", /*pin=*/true);
+  const auto none = exec_.Prepare("SELECT v FROM t");
   EXPECT_EQ(none->param_count, 0);
 }
 

@@ -30,7 +30,7 @@ class PreparedProbeTest : public testing::DbFixture {
   /// Prepares kProbeSql and keeps a private clone of its AST whose `?`
   /// slot Execute rewrites, the way a dbc PreparedStatement binds.
   void PrepareHandle() {
-    plan_ = exec_.Prepare(kProbeSql, /*pin=*/true);
+    plan_ = exec_.Prepare(kProbeSql);
     bound_ = plan_->ast->Clone();
     sql::VisitStatementExprsMutable(*bound_, [this](sql::Expr& expr) {
       if (expr.param_index == 0) slot_ = &expr;
@@ -42,7 +42,7 @@ class PreparedProbeTest : public testing::DbFixture {
   /// re-prepares first, which rebinds the lock plan without a parse.
   ResultSet Execute(const Value& key) {
     if (plan_->bound_version != db_.catalog_version()) {
-      plan_ = exec_.Prepare(kProbeSql, /*pin=*/true);
+      plan_ = exec_.Prepare(kProbeSql);
     }
     slot_->kind = sql::ExprKind::kLiteral;
     slot_->literal = key;

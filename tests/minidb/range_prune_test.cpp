@@ -39,7 +39,7 @@ class Handle {
  public:
   Handle(Database& db, Executor& exec, std::string sql)
       : db_(db), exec_(exec), sql_(std::move(sql)) {
-    plan_ = exec_.Prepare(sql_, /*pin=*/true);
+    plan_ = exec_.Prepare(sql_);
     bound_ = plan_->ast->Clone();
     slots_.assign(static_cast<size_t>(plan_->param_count), nullptr);
     sql::VisitStatementExprsMutable(*bound_, [this](sql::Expr& expr) {
@@ -53,7 +53,7 @@ class Handle {
   /// first, which rebinds the plan without a parse.
   ResultSet Execute(const std::vector<Value>& binds) {
     if (plan_->bound_version != db_.catalog_version()) {
-      plan_ = exec_.Prepare(sql_, /*pin=*/true);
+      plan_ = exec_.Prepare(sql_);
     }
     for (size_t i = 0; i < slots_.size(); ++i) {
       slots_[i]->kind = sql::ExprKind::kLiteral;
