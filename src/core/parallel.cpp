@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 #include "common/stopwatch.h"
@@ -95,6 +96,8 @@ ParallelRunner::ParallelRunner(std::string url, ResilientConn& master,
       schema_(std::move(schema)),
       checker_(with.termination, translator_, analysis.cte_name),
       partitions_(static_cast<size_t>(std::max(ctx.options.partitions, 1))),
+      ranked_(ctx.options.mode == ExecutionMode::kAsyncPriority &&
+              !ctx.options.priority_query.empty()),
       base_(analysis.cte_name),
       retrier_(master.retrier()),
       checkpoints_(ctx.options, translator_, base_, with, ctx.options.mode,
@@ -508,7 +511,7 @@ void ParallelRunner::BuildTaskSql() {
     TaskText(TaskSql::kCompactIn, k) =
         "INSERT INTO " + outbox + " SELECT * FROM " +
         translator_.Quote(CompactionTable());
-    if (!ctx_.options.priority_query.empty()) {
+    if (ranked_) {
       TaskText(TaskSql::kPriority, k) =
           ReplaceAll(ctx_.options.priority_query, "$PARTITION", pt);
     }
@@ -761,7 +764,7 @@ void ParallelRunner::RunSpec(dbc::Connection& conn, TaskSpec& spec) {
     }
     spec.do_compute = false;
   }
-  if (spec.refresh_priority) {
+  if (ranked_) {
     if (spec.updates > 0) {
       retrier_.Run(conn, "priority", partition, [&] {
         RefreshPriority(k, conn);
@@ -774,7 +777,6 @@ void ParallelRunner::RunSpec(dbc::Connection& conn, TaskSpec& spec) {
       priorities_[k] = std::nullopt;
       priority_known_[k] = true;
     }
-    spec.refresh_priority = false;
   }
 }
 
@@ -896,6 +898,27 @@ uint64_t ParallelRunner::ConsumedUpto(size_t source) const {
     }
   }
   return upto;
+}
+
+void ParallelRunner::PrepareCollection() {
+  // Which outboxes a round border finds partly consumed varies with Async
+  // timing, so every text it may run is prepared up front (a retry keeps
+  // the handles made): a repeat job then parses none of them. Sync
+  // consumes every outbox whole each round, so it only ever truncates.
+  std::vector<std::pair<TaskSql, size_t>> kinds = {
+      {TaskSql::kTruncateInbox, 1}, {TaskSql::kTruncate, partitions_}};
+  if (ctx_.options.mode != ExecutionMode::kSync) {
+    kinds.insert(kinds.end(), {{TaskSql::kCollect, partitions_},
+                               {TaskSql::kCompactOut, partitions_},
+                               {TaskSql::kCompactIn, partitions_},
+                               {TaskSql::kTruncateCompaction, 1}});
+  }
+  retrier_.Run(master_.conn(), "setup", -1, [&] {
+    for (const auto& [kind, slots] : kinds) {
+      for (size_t k = 0; k < slots; ++k) Statement(master_.conn(), kind, k);
+    }
+    return 0;
+  });
 }
 
 void ParallelRunner::CollectConsumedMessages() {
@@ -1021,7 +1044,6 @@ bool ParallelRunner::RestoreFromCheckpoint() {
 // ---------------------------------------------------------------------------
 
 void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
-  if (ctx_.options.priority_query.empty()) return;
   const double start = run_watch_.ElapsedSeconds();
   std::optional<double> priority;
   const auto result =
@@ -1185,6 +1207,33 @@ void ParallelRunner::RunRounds() {
     }
   };
 
+  // The asynchronous dispatcher's books (paper §V-E), per work window:
+  // which partitions have a task out, when each was last dispatched, and
+  // how many tasks hold a worker slot.
+  std::mutex sched_mutex;
+  std::condition_variable sched_cv;
+  std::vector<char> running(partitions_, 0);
+  std::vector<uint64_t> last_dispatch(partitions_, 0);
+  uint64_t dispatch_seq = 0;
+  size_t in_flight = 0;
+  if (resume_round_ > 0 && resume_last_dispatch_.size() == partitions_) {
+    // Restored tie-breaking state: the first resumed window orders
+    // equal-rank partitions exactly as the killed run would have.
+    last_dispatch = resume_last_dispatch_;
+    dispatch_seq = resume_dispatch_seq_;
+  }
+  // A dispatched spec leaves the books when it finishes, fails or is
+  // parked in abandoned_ — not when it bounces to a surviving worker, so
+  // no second task of its partition starts meanwhile. A parked partition
+  // stays running until DrainAbandoned re-ran it. Sync keeps no books.
+  const auto settle = [&](size_t k, bool parked) {
+    if (ctx_.options.mode == ExecutionMode::kSync) return;
+    const std::scoped_lock lock(sched_mutex);
+    if (!parked) running[k] = 0;
+    --in_flight;
+    sched_cv.notify_all();
+  };
+
   // One spec on one worker thread. Transient faults retry inside RunSpec
   // (rungs 1-2: retry, reopen); budget exhaustion retires the worker and
   // forwards the spec's unfinished pieces to the master (rung 4); fatal
@@ -1192,9 +1241,13 @@ void ParallelRunner::RunRounds() {
   // worker can resubmit itself onto a surviving one.
   std::function<void(size_t, TaskSpec)> run_task = [&](size_t worker,
                                                        TaskSpec spec) {
+    const size_t k = spec.partition;
     {
       const std::scoped_lock lock(failure_mutex_);
-      if (failure_) return;
+      if (failure_) {
+        settle(k, false);
+        return;
+      }
     }
     if (worker_retired(worker)) {
       // A retired worker's thread still drains the shared queue. Bounce
@@ -1217,9 +1270,11 @@ void ParallelRunner::RunRounds() {
         });
       } else {
         AbandonTask(std::move(spec));
+        settle(k, true);
       }
       return;
     }
+    bool parked = false;
     try {
       dbc::Connection& conn = worker_conn(worker);
       RunSpec(conn, spec);
@@ -1227,12 +1282,25 @@ void ParallelRunner::RunRounds() {
       if (ctx_.options.retry.allow_degradation) {
         retire_worker(worker, e.what());
         AbandonTask(std::move(spec));
+        parked = true;
       } else {
         poison();
       }
     } catch (...) {
       poison();
     }
+    settle(k, parked);
+  };
+
+  // Submits a fresh spec: partition `k`'s Gather, Compute or both.
+  const auto dispatch = [&](size_t k, bool gather, bool compute) {
+    pool.Submit([&run_task, k, gather, compute](size_t worker) {
+      TaskSpec spec;
+      spec.partition = k;
+      spec.do_gather = gather;
+      spec.do_compute = compute;
+      run_task(worker, std::move(spec));
+    });
   };
 
   const auto throw_if_failed = [&] {
@@ -1240,37 +1308,26 @@ void ParallelRunner::RunRounds() {
     if (failure_) std::rethrow_exception(failure_);
   };
 
-  const bool continuous_priority =
-      ctx_.options.mode == ExecutionMode::kAsyncPriority &&
-      !ctx_.options.priority_query.empty();
-
-  // Task statements are prepared per connection on first use
-  // (Statement()); the plan cache pins each text, so whichever connection
-  // prepares it first parses it for all of them.
-
-  // State for the continuous priority scheduler (paper §V-E: "instead of
-  // scheduling ... in a round-robin fashion, the master thread maintains a
-  // priority queue"). A "round" is a work window of `partitions_` completed
-  // pair tasks — the budget an Async round would spend — so ITERATIONS
-  // termination stays comparable across modes.
-  std::mutex sched_mutex;
-  std::condition_variable sched_cv;
-  std::vector<char> running(partitions_, 0);
-  std::vector<uint64_t> last_dispatch(partitions_, 0);
-  uint64_t dispatch_seq = 0;
-  size_t in_flight = 0;
-  if (resume_round_ > 0 && resume_last_dispatch_.size() == partitions_) {
-    // Restored AsyncP tie-breaking state: the first resumed window ranks
-    // equal-priority partitions exactly as the killed run would have.
-    last_dispatch = resume_last_dispatch_;
-    dispatch_seq = resume_dispatch_seq_;
-  }
+  // A partition's dispatch rank, larger first. Unranked, every partition
+  // is eligible at rank 0, so least-recently-dispatched tie-breaking makes
+  // each window one pass over 0..P-1 in order.
+  const auto rank_of = [&](size_t k, double* rank) {
+    *rank = 0;
+    return !ranked_ || PartitionEligible(k, rank);
+  };
+  // Ranked, at most `threads` tasks are in flight, so every dispatch sees
+  // the priorities finished tasks refreshed. Unranked, no task changes the
+  // order, so a window submits all its tasks at once instead of waking the
+  // master between every pair of (often microsecond-long, skipped) tasks.
+  const size_t max_in_flight =
+      ranked_ ? static_cast<size_t>(threads) : partitions_;
 
   const auto step = [&](int64_t round, double round_start) -> RoundResult {
     current_round_.store(round, std::memory_order_relaxed);
     round_degraded_ = false;
     round_updates_.store(0);
     double barrier_wait = 0;
+    bool quiesced = false;
 
     // Aggregate worker idle across one barriered phase: the pool has
     // `threads` workers for `wall` seconds; whatever they did not spend
@@ -1299,82 +1356,43 @@ void ParallelRunner::RunRounds() {
       barrier_phase([&] {
         for (size_t k = 0; k < partitions_; ++k) {
           if (SkipCleanCompute(k)) continue;
-          pool.Submit([&run_task, k](size_t worker) {
-            TaskSpec spec;
-            spec.partition = k;
-            spec.do_compute = true;
-            run_task(worker, std::move(spec));
-          });
+          dispatch(k, /*gather=*/false, /*compute=*/true);
         }
       });
       barrier_phase([&] {
         for (size_t k = 0; k < partitions_; ++k) {
           if (SkipIdleGather(k)) continue;
-          pool.Submit([&run_task, k](size_t worker) {
-            TaskSpec spec;
-            spec.partition = k;
-            spec.do_gather = true;
-            run_task(worker, std::move(spec));
-          });
+          dispatch(k, /*gather=*/true, /*compute=*/false);
         }
       });
-    } else if (!continuous_priority) {
-      // Async (and AsyncP without a priority query): Gather then Compute
-      // per partition, no barrier between partitions (paper §V-E, Fig. 3
-      // bottom). Each task applies the skip rule itself, so a partition a
-      // Gather just changed computes in the same task.
-      for (size_t k = 0; k < partitions_; ++k) {
-        pool.Submit([&run_task, k](size_t worker) {
-          TaskSpec spec;
-          spec.partition = k;
-          spec.do_gather = true;
-          spec.do_compute = true;
-          run_task(worker, std::move(spec));
-        });
-      }
-      pool.WaitIdle();
-      throw_if_failed();
-      DrainAbandoned();
     } else {
-      // AsyncP: continuously dispatch the highest-priority eligible
-      // partition, keeping at most `threads` tasks in flight so every
-      // dispatch decision sees fresh priorities. The same partition may
-      // run several times within a window while unproductive ones are
-      // never scheduled.
+      // Async and AsyncP: Gather then Compute per partition, no barrier
+      // (paper §V-E, Fig. 3 bottom); each task applies the skip rule
+      // itself, so a partition a Gather just changed computes in the same
+      // task. The master keeps dispatching the highest-ranked partition
+      // with no task out. A round is a window of `partitions_` dispatches,
+      // a round-robin pass's budget, so ITERATIONS termination stays
+      // comparable across modes; ranked, a hot partition may run several
+      // times in a window while unproductive ones never run.
       size_t window_dispatched = 0;
       bool starved = false;
       while (window_dispatched < partitions_) {
-        {
-          // Dispatch-on-demand: wait for a free worker slot.
-          std::unique_lock lock(sched_mutex);
-          if (in_flight >= static_cast<size_t>(threads)) {
-            sched_cv.wait(lock, [&] {
-              return in_flight < static_cast<size_t>(threads);
-            });
-          }
-        }
-        int best = -1;
+        std::unique_lock lock(sched_mutex);
+        sched_cv.wait(lock, [&] { return in_flight < max_in_flight; });
+        // Highest rank wins; ties go to the least recently dispatched, so
+        // equal ranks are served in turn rather than low ids first.
+        size_t k = partitions_;  // the best so far; none yet
         double best_rank = 0;
-        {
-          // Highest rank wins; ties go to the least-recently-dispatched
-          // partition so equal-priority work (e.g. message consumption)
-          // is served fairly instead of starving high partition ids.
-          const std::scoped_lock lock(sched_mutex);
-          for (size_t k = 0; k < partitions_; ++k) {
-            if (running[k]) continue;
-            double rank;
-            if (!PartitionEligible(k, &rank)) continue;
-            if (best < 0 || rank > best_rank ||
-                (rank == best_rank &&
-                 last_dispatch[k] <
-                     last_dispatch[static_cast<size_t>(best)])) {
-              best = static_cast<int>(k);
-              best_rank = rank;
-            }
+        for (size_t c = 0; c < partitions_; ++c) {
+          double rank;
+          if (running[c] || !rank_of(c, &rank)) continue;
+          if (k == partitions_ || rank > best_rank ||
+              (rank == best_rank && last_dispatch[c] < last_dispatch[k])) {
+            k = c;
+            best_rank = rank;
           }
         }
-        if (best < 0) {
-          std::unique_lock lock(sched_mutex);
+        if (k == partitions_) {
           if (in_flight > 0) {
             // In-flight work may enable new partitions; wait and re-scan.
             const size_t snapshot = in_flight;
@@ -1384,50 +1402,30 @@ void ParallelRunner::RunRounds() {
           starved = true;  // nothing eligible at all
           break;
         }
-        {
-          const std::scoped_lock lock(sched_mutex);
-          running[static_cast<size_t>(best)] = 1;
-          last_dispatch[static_cast<size_t>(best)] = ++dispatch_seq;
-          ++in_flight;
-          ++window_dispatched;
-        }
-        const size_t k = static_cast<size_t>(best);
-        pool.Submit([&run_task, k, &sched_mutex, &sched_cv, &running,
-                     &in_flight](size_t worker) {
-          TaskSpec spec;
-          spec.partition = k;
-          spec.do_gather = true;
-          spec.do_compute = true;
-          spec.refresh_priority = true;
-          run_task(worker, std::move(spec));
-          const std::scoped_lock lock(sched_mutex);
-          running[k] = 0;
-          --in_flight;
-          sched_cv.notify_all();
-        });
+        running[k] = 1;
+        last_dispatch[k] = ++dispatch_seq;
+        ++in_flight;
+        ++window_dispatched;
+        lock.unlock();
+        dispatch(k, /*gather=*/true, /*compute=*/true);
       }
-      {
-        std::unique_lock lock(sched_mutex);
-        sched_cv.wait(lock, [&] { return in_flight == 0; });
-      }
+      pool.WaitIdle();
       throw_if_failed();
       // Drain before the starvation check: an abandoned pair the master
-      // re-runs may still produce updates this window.
+      // re-runs may still produce updates this window. Its partition was
+      // held running until now.
       DrainAbandoned();
+      std::fill(running.begin(), running.end(), 0);
       // A partition left with no productive work sits the window out
       // (§V-E): it counts as one skipped task.
       for (size_t k = 0; k < partitions_; ++k) {
         double rank;
-        if (!PartitionEligible(k, &rank)) skipped_tasks_.fetch_add(1);
+        if (!rank_of(k, &rank)) skipped_tasks_.fetch_add(1);
       }
-      if (starved && round_updates_.load() == 0) {
-        // Nothing can make progress anymore: quiesced. The loop checks
-        // Tc once and stops either way — further windows would be
-        // identical no-ops.
-        CollectConsumedMessages();
-        FinishRound(round, 0, round_start, barrier_wait);
-        return {0, /*quiesced=*/true};
-      }
+      // Nothing can make progress anymore: quiesced. The loop checks Tc
+      // once and stops either way — further windows would be identical
+      // no-ops.
+      quiesced = starved && round_updates_.load() == 0;
     }
 
     CollectConsumedMessages();
@@ -1436,7 +1434,7 @@ void ParallelRunner::RunRounds() {
     // A zero-update window is genuine quiescence: the fair tie-breaking
     // above guarantees every pending message is consumed within a window,
     // so anything still unread is an idempotent re-send.
-    return {updates};
+    return {updates, quiesced};
   };
 
   // The state a checkpoint dumps: every partition table (which a scrub
@@ -1502,6 +1500,7 @@ dbc::ResultSet ParallelRunner::Run() {
     CreateUnionView();
     MaterializeConstantJoins();
     BuildTaskSql();
+    PrepareCollection();
     EmitSpan(telemetry::SpanKind::kSetup, -1, setup_start,
              run_watch_.ElapsedSeconds() - setup_start, 0);
     RunRounds();

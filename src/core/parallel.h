@@ -61,9 +61,6 @@ class ParallelRunner {
     size_t partition = 0;
     bool do_gather = false;
     bool do_compute = false;
-    /// AsyncP: re-measure the priority once the pair is done, if it moved
-    /// data; an unproductive pair clears it instead.
-    bool refresh_priority = false;
     uint64_t updates = 0;  // accumulated across pieces (feeds the refresh)
     int bounces = 0;       // rebalance hops off retired workers (bounded)
     ComputeAttempt compute;
@@ -93,9 +90,9 @@ class ParallelRunner {
   bool RestoreFromCheckpoint();
 
   // --- resilience (DESIGN.md "Failure model & resilience") ---------------
-  /// Runs the spec's remaining pieces on `conn`, each piece under the
-  /// retry policy, clearing piece flags as they complete. Worker threads
-  /// and the master (DrainAbandoned) both use it.
+  /// Runs the spec's remaining pieces on `conn`, each under the retry
+  /// policy, clearing piece flags as they complete, then (ranked) the
+  /// priority refresh. Worker threads and DrainAbandoned both use it.
   void RunSpec(dbc::Connection& conn, TaskSpec& spec);
   void AbandonTask(TaskSpec spec);
   /// Master-side: re-executes every abandoned spec on the master
@@ -147,13 +144,15 @@ class ParallelRunner {
   /// nothing addressed to it above its watermark needs none of the rows.
   /// Caller holds registry_mutex_.
   uint64_t ConsumedUpto(size_t source) const;
+  /// Prepares, on the master at setup, every text collection may run.
+  void PrepareCollection();
   /// Deletes (or truncates) outbox rows every target has consumed.
   /// Master-side, at round borders.
   void CollectConsumedMessages();
 
   // --- scheduling (§V-E) --------------------------------------------------
-  /// Opens the worker pool and runs the shared RoundLoop; the step is one
-  /// Sync, Async or AsyncP round plus collection and FinishRound.
+  /// Opens the worker pool and runs the shared RoundLoop; the step is a
+  /// Sync round or an asynchronous window, plus collection and FinishRound.
   void RunRounds();
   void RefreshPriority(size_t partition, dbc::Connection& conn);
   /// True if the partition currently has productive work: a usable
@@ -196,8 +195,8 @@ class ParallelRunner {
     return task_sql_[static_cast<size_t>(kind) * partitions_ + partition];
   }
   /// `conn`'s prepared handle for one of them, prepared on first use. The
-  /// plan cache pins each text, so it is parsed once per database however
-  /// many connections prepare it.
+  /// database's shared plan cache holds each text after its first compile,
+  /// so other connections preparing it find it there.
   dbc::PreparedStatement& Statement(dbc::Connection& conn, TaskSql kind,
                                     size_t partition);
 
@@ -216,6 +215,9 @@ class ParallelRunner {
   TerminationChecker checker_;
 
   size_t partitions_;
+  // AsyncP with a priority query: the asynchronous dispatcher ranks
+  // partitions by priority. Otherwise every partition ranks equally.
+  const bool ranked_;
   std::string base_;  // folded CTE name; also the union view's name
 
   // Pre-rendered round-loop SQL, indexed [kind * P + partition].

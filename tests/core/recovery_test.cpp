@@ -13,8 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.h"
@@ -474,6 +477,49 @@ void RewriteAsLegacyManifest(const fs::path& manifest, size_t partitions) {
   std::ofstream(manifest, std::ios::binary | std::ios::trunc) << body;
 }
 
+/// Rewrites a sealed manifest's dispatch state to all zeros — what an
+/// Async checkpoint recorded while Async ran without dispatch books —
+/// resealed with a valid CRC.
+void ZeroDispatchState(const fs::path& manifest) {
+  std::ifstream in(manifest);
+  std::string line;
+  std::string body;
+  while (std::getline(in, line)) {
+    if (line.rfind("crc=", 0) == 0) continue;
+    if (line.rfind("dispatch_seq=", 0) == 0) line = "dispatch_seq=0";
+    if (line.rfind("last_dispatch=", 0) == 0) {
+      const auto commas = std::count(line.begin(), line.end(), ',');
+      line = "last_dispatch=0";
+      for (auto i = commas; i > 0; --i) line += ",0";
+    }
+    body += line + "\n";
+  }
+  in.close();
+  body += "crc=" + std::to_string(Crc32(body.data(), body.size())) + "\n";
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << body;
+}
+
+TEST(RecoveryTest, UnrankedCheckpointWithZeroDispatchStateResumesBitIdentical) {
+  // Unranked, every window dispatches the partitions in order, whatever
+  // the restored tie-breaking state: a checkpoint whose dispatch state is
+  // all zeros resumes exactly like one that recorded the real order.
+  const graph::Graph g = graph::MakeWebGraph(120, 3, 7);
+  const std::string query = workloads::PageRankQuery(6);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kAsync, ExecutionMode::kAsyncPriority}) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    const auto r = KillThenResume(
+        g, query, mode, /*threads=*/1, /*kill_round=*/3, /*cadence=*/1,
+        [](const std::string& root) {
+          for (const auto& dir : CheckpointsNewestFirst(root)) {
+            ZeroDispatchState(dir / "manifest");
+          }
+        });
+    EXPECT_EQ(r.resume_stats.resumed_from_round, 2);
+    EXPECT_EQ(r.clean, r.resumed);
+  }
+}
+
 TEST(RecoveryTest, LegacyLayoutCheckpointFallsBackToFreshRun) {
   // Checkpoints from before the outbox layout record message tables and
   // consumed indexes the runner no longer has. Resuming from them would
@@ -495,13 +541,50 @@ TEST(RecoveryTest, LegacyLayoutCheckpointFallsBackToFreshRun) {
   EXPECT_EQ(out.resumed, out.clean);
 }
 
+/// Collects every Gather/Compute span, per partition, so a test can check
+/// that no two tasks of one partition ever ran at the same time.
+class PartitionSpanProbe : public ExecutionObserver {
+ public:
+  void OnTaskComplete(const telemetry::TaskSpan& span) override {
+    if (span.kind != telemetry::SpanKind::kGather &&
+        span.kind != telemetry::SpanKind::kCompute) {
+      return;
+    }
+    const std::scoped_lock lock(mutex_);
+    spans_[span.partition].push_back(
+        {span.start_seconds, span.start_seconds + span.duration_seconds});
+  }
+
+  /// Partitions with two overlapping spans (a clock tick of slack).
+  std::vector<int64_t> Overlapping() {
+    const std::scoped_lock lock(mutex_);
+    std::vector<int64_t> overlapping;
+    for (auto& [partition, spans] : spans_) {
+      std::sort(spans.begin(), spans.end());
+      for (size_t i = 1; i < spans.size(); ++i) {
+        if (spans[i].first + 1e-9 < spans[i - 1].second) {
+          overlapping.push_back(partition);
+          break;
+        }
+      }
+    }
+    return overlapping;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<int64_t, std::vector<std::pair<double, double>>> spans_;
+};
+
 TEST(RecoveryTest, TasksStrandedOnRetiredWorkersRebalanceToSurvivors) {
   // Connection opens fail for the first four attempts (server-side
   // injector, installed after the master connected): one or two of the
   // three workers exhaust their open budget and retire, and the tasks
   // their threads keep pulling must bounce to the surviving workers —
   // visible as partitions_rebalanced — instead of all falling back to the
-  // master.
+  // master. A bounced task keeps its partition busy until it has run, so
+  // the asynchronous dispatcher never starts a second task of that
+  // partition alongside it.
   const graph::Graph g = graph::MakeEgoNetGraph(6, 12, 0.25, 5);
   const std::string query = workloads::SsspAllQuery(1);
   std::vector<std::string> clean;
@@ -512,32 +595,45 @@ TEST(RecoveryTest, TasksStrandedOnRetiredWorkersRebalanceToSurvivors) {
     clean = Canonical(loop.Execute(query));
   }
 
-  CoreFixtureBase fixture("postgres");
-  fixture.LoadGraph(g);
-  SqloopOptions options = BaseOptions(ExecutionMode::kSync, 3);
-  options.retry.max_attempts = 2;
-  options.retry.backoff_base_ms = 0;
-  SqLoop loop(fixture.Url(), options);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSync, ExecutionMode::kAsync,
+        ExecutionMode::kAsyncPriority}) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqloopOptions options = BaseOptions(mode, 3);
+    options.retry.max_attempts = 2;
+    options.retry.backoff_base_ms = 0;
+    if (mode == ExecutionMode::kAsyncPriority) {
+      options.priority_query = workloads::SsspPriorityQuery();
+    }
+    SqLoop loop(fixture.Url(), options);
+    PartitionSpanProbe probe;
+    loop.set_observer(&probe);
 
-  minidb::Server* server = dbc::DriverManager::FindHost(HostOf(fixture.Url()));
-  ASSERT_NE(server, nullptr);
-  FaultConfig config;
-  config.connect_failure_rate = 1.0;
-  // The pool's three pre-opens fail transiently (3 faults, re-attempted by
-  // the first task); of the 4 remaining, some worker must draw two in a
-  // row and retire (3 workers x 1 forgiven failure only covers 3), while
-  // retiring all three would need 6 — so survivors always remain.
-  config.max_faults = 7;
-  server->set_fault_injector(std::make_shared<FaultInjector>(config));
+    minidb::Server* server =
+        dbc::DriverManager::FindHost(HostOf(fixture.Url()));
+    ASSERT_NE(server, nullptr);
+    FaultConfig config;
+    config.connect_failure_rate = 1.0;
+    // The pool's three pre-opens fail transiently (3 faults, re-attempted
+    // by the first task); of the 4 remaining, some worker must draw two in
+    // a row and retire (3 workers x 1 forgiven failure only covers 3),
+    // while retiring all three would need 6 — so survivors always remain.
+    config.max_faults = 7;
+    server->set_fault_injector(std::make_shared<FaultInjector>(config));
 
-  const auto result = Canonical(loop.Execute(query));
-  server->set_fault_injector(nullptr);
+    const auto result = Canonical(loop.Execute(query));
+    server->set_fault_injector(nullptr);
+    loop.set_observer(nullptr);
 
-  EXPECT_EQ(result, clean);
-  const RunStats& stats = loop.last_run();
-  EXPECT_GE(stats.workers_retired, 1u);
-  EXPECT_LE(stats.workers_retired, 2u);  // never all three
-  EXPECT_GE(stats.partitions_rebalanced, 1u);
+    EXPECT_EQ(result, clean);
+    const RunStats& stats = loop.last_run();
+    EXPECT_GE(stats.workers_retired, 1u);
+    EXPECT_LE(stats.workers_retired, 2u);  // never all three
+    EXPECT_GE(stats.partitions_rebalanced, 1u);
+    EXPECT_EQ(probe.Overlapping(), std::vector<int64_t>{});
+  }
 }
 
 TEST(RecoveryTest, ContradictoryFaultKnobsAreRejected) {

@@ -158,26 +158,27 @@ TEST(SteadyStateRounds, AsyncSsspParsesEachFixedTextAtMostOncePerRun) {
 TEST(SteadyStateRounds, RepeatAsyncSsspJobParsesAlmostNothing) {
   // Every compile enters the shared plan cache, which holds a whole job's
   // texts even at P=256 (setup DDL/DML and task texts per partition), so a
-  // repeat job finds them all cached from setup to teardown.
+  // repeat job finds them all cached from setup to teardown — whatever
+  // order its workers happened to run the tasks in.
   const graph::Graph g = graph::MakeEgoNetGraph(6, 12, 0.25, 5);
   const std::string query = workloads::SsspAllQuery(1);
-  for (const int partitions : {48, 256}) {
-    SCOPED_TRACE("P=" + std::to_string(partitions));
-    CoreFixtureBase fixture("postgres");
-    fixture.LoadGraph(g);
-    SqLoop loop(fixture.Url());
-    SqloopOptions options = Options(ExecutionMode::kAsync);
-    options.partitions = partitions;
-    // One worker fixes the Async task order. With two, which outboxes are
-    // partly consumed at a round border varies, and a partition's first
-    // `DELETE ... WHERE seq <= ?` is a new text in whichever job needs it.
-    options.threads = 1;
-    ProbeRun first(loop);
-    RunProbed(loop, query, options, first);
-    ProbeRun second(loop);
-    RunProbed(loop, query, options, second);
-    ExpectRecorderAgrees(second);
-    EXPECT_LE(second.stats.recorder->counter("sql.parse_count"), 50u);
+  for (const int threads : {1, 2}) {
+    for (const int partitions : {48, 256}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " P=" + std::to_string(partitions));
+      CoreFixtureBase fixture("postgres");
+      fixture.LoadGraph(g);
+      SqLoop loop(fixture.Url());
+      SqloopOptions options = Options(ExecutionMode::kAsync);
+      options.partitions = partitions;
+      options.threads = threads;
+      ProbeRun first(loop);
+      RunProbed(loop, query, options, first);
+      ProbeRun second(loop);
+      RunProbed(loop, query, options, second);
+      ExpectRecorderAgrees(second);
+      EXPECT_LE(second.stats.recorder->counter("sql.parse_count"), 50u);
+    }
   }
 }
 
