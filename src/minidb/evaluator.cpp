@@ -210,12 +210,10 @@ Value Evaluate(const sql::Expr& expr, const EvalContext& ctx) {
       }
       int index;
       if (ctx.resolution_cache != nullptr) {
-        const auto it = ctx.resolution_cache->find(&expr);
-        if (it != ctx.resolution_cache->end()) {
-          index = it->second;
-        } else {
+        index = ctx.resolution_cache->Find(&expr);
+        if (index < 0) {
           index = ResolveColumn(*ctx.columns, expr.qualifier, expr.column);
-          ctx.resolution_cache->emplace(&expr, index);
+          ctx.resolution_cache->Add(&expr, index);
         }
       } else {
         index = ResolveColumn(*ctx.columns, expr.qualifier, expr.column);

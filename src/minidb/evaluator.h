@@ -3,8 +3,8 @@
 // accumulators for SUM / MIN / MAX / COUNT / AVG.
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "minidb/schema.h"
@@ -49,18 +49,37 @@ struct Relation {
   void Materialize();
 };
 
+/// Memoizes column-reference lookups per expression node against one
+/// binding list, so hot loops skip ResolveColumn's string compares. A loop
+/// evaluates a handful of column references, so a flat vector searched
+/// front to back beats hashing the node pointer.
+class ResolutionMemo {
+ public:
+  /// The memoized column index of `expr`, or -1.
+  int Find(const sql::Expr* expr) const noexcept {
+    for (const auto& [node, index] : entries_) {
+      if (node == expr) return index;
+    }
+    return -1;
+  }
+  void Add(const sql::Expr* expr, int index) {
+    entries_.emplace_back(expr, index);
+  }
+
+ private:
+  std::vector<std::pair<const sql::Expr*, int>> entries_;
+};
+
 /// Evaluation context: the current row inside a relation, plus (during
 /// aggregate projection) the values computed for each aggregate
-/// sub-expression of the SELECT list.
-///
-/// `resolution_cache` memoizes column-reference lookups per (expression
-/// node, relation) so hot loops avoid repeated linear scans.
+/// sub-expression of the SELECT list. `resolution_cache`, when set,
+/// memoizes column lookups across the rows of one loop.
 struct EvalContext {
   const std::vector<ColumnBinding>* columns = nullptr;
   const Row* row = nullptr;
   const std::vector<const sql::Expr*>* agg_exprs = nullptr;
   const std::vector<Value>* agg_values = nullptr;
-  std::unordered_map<const sql::Expr*, int>* resolution_cache = nullptr;
+  ResolutionMemo* resolution_cache = nullptr;
 };
 
 /// Evaluates `expr` in `ctx`. Throws AnalysisError for unresolved or

@@ -13,6 +13,7 @@
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "minidb/dump.h"
+#include "minidb/key_index.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "telemetry/hooks.h"
@@ -265,23 +266,20 @@ std::string OutputName(const sql::SelectItem& item, size_t index) {
   return "col" + std::to_string(index + 1);
 }
 
-// Hashing / comparison for grouping keys and DISTINCT.
-struct KeyHash {
-  size_t operator()(const Row& key) const noexcept {
-    size_t h = 0x9E3779B97F4A7C15ULL;
-    for (const Value& v : key) h = h * 31 + v.Hash();
-    return h;
+// KeyIndex hashing and key equality over whole rows (DISTINCT, UNION).
+size_t RowKeyHash(const Row& row) noexcept {
+  size_t hash = KeyIndex::kSeed;
+  for (const Value& v : row) hash = KeyIndex::Mix(hash, v);
+  return hash;
+}
+bool RowKeyEquals(const Row& a, const Row& b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!Value::KeyEquals(a[i], b[i])) return false;
   }
-};
-struct KeyEq {
-  bool operator()(const Row& a, const Row& b) const noexcept {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!Value::KeyEquals(a[i], b[i])) return false;
-    }
-    return true;
-  }
-};
+  return true;
+}
+// Sort-based grouping order (the mysql-family profiles).
 struct KeyLess {
   bool operator()(const Row& a, const Row& b) const noexcept {
     const size_t n = std::min(a.size(), b.size());
@@ -666,12 +664,13 @@ std::vector<ColumnBinding> CombinedOrderBindings(size_t output_width,
   return combined;
 }
 
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
+/// Assembles `left` followed by `right` into `out`, reusing its storage:
+/// joined rows and ORDER BY inputs are rebuilt in one buffer per loop.
+void ConcatInto(Row& out, const Row& left, const Row& right) {
+  out.resize(left.size() + right.size());
+  std::copy(left.begin(), left.end(), out.begin());
+  std::copy(right.begin(), right.end(),
+            out.begin() + static_cast<ptrdiff_t>(left.size()));
 }
 
 }  // namespace
@@ -790,7 +789,7 @@ Executor::ScanSetup Executor::SetUpScan(
 void Executor::ScanBatched(const Table& table,
                            const std::vector<const sql::Expr*>& pushed,
                            const ScanSetup& setup, const BatchSink& sink) {
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionMemo cache;
   counters_.pushed_predicates += pushed.size();
   bool any_fallback = false;
   bool rewriting_kernel = false;
@@ -962,9 +961,9 @@ Relation Executor::EvalJoin(const sql::TableRef& join, ExecContext& ctx) {
     GuardedReserve(out.rows,
                    SaturatingMul(state.left.row_count(), right_rows));
   }
-  const auto collect = [this, &out](Row&& row) {
+  const auto collect = [this, &out](const Row& row) {
     GovCharge(RowFootprintBytes(row));
-    out.rows.push_back(std::move(row));
+    out.rows.push_back(row);
   };
   RunJoin(state, collect);
   counters_.rows_materialized += out.rows.size();
@@ -1003,9 +1002,9 @@ Relation Executor::EvalJoinInput(const sql::TableRef& ref, ExecContext& ctx,
     JoinState nested = PrepareJoin(ref, ctx, pending);
     Relation out;
     out.columns = nested.columns;
-    const auto collect = [this, &out](Row&& row) {
+    const auto collect = [this, &out](const Row& row) {
       GovCharge(RowFootprintBytes(row));
-      out.rows.push_back(std::move(row));
+      out.rows.push_back(row);
     };
     RunJoin(nested, collect);
     counters_.rows_materialized += out.rows.size();
@@ -1084,9 +1083,10 @@ Executor::JoinState Executor::PrepareJoin(
   return state;
 }
 
-void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
+void Executor::RunJoin(JoinState& state, const JoinRowSink& sink) {
   const sql::TableRef& join = *state.join;
   const Relation& left = state.left;
+  Row combined;  // every joined row is assembled here, then handed on
 
   const auto materialize_right = [&] {
     if (!state.right_materialized) {
@@ -1101,27 +1101,35 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
       const Row& l = left.row(li);
       for (size_t ri = 0; ri < state.right.row_count(); ++ri) {
         GovTick();
-        sink(ConcatRows(l, state.right.row(ri)));
+        ConcatInto(combined, l, state.right.row(ri));
+        sink(combined);
       }
     }
     return;
   }
 
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionMemo cache;
   const size_t right_width = state.right_columns.size();
   const bool left_join = join.join_kind == sql::JoinKind::kLeft;
   const auto& equi = state.equi;
 
   const auto emit_unmatched = [&](const Row& l) {
     if (!left_join) return;
-    Row padded = l;
-    padded.resize(l.size() + right_width);  // default-constructed = NULL
-    sink(std::move(padded));
+    combined.resize(l.size() + right_width);
+    std::copy(l.begin(), l.end(), combined.begin());
+    std::fill(combined.begin() + static_cast<ptrdiff_t>(l.size()),
+              combined.end(), Value::Null());
+    sink(combined);
   };
-  const auto match_residual = [&](const Row& combined) {
-    if (state.residual.empty()) return true;
-    EvalContext ec{&state.columns, &combined, nullptr, nullptr, &cache};
-    return ResidualHolds(state.residual, ec);
+  // Assembles l ++ r and emits it if the residual ON conjuncts hold.
+  const auto try_emit = [&](const Row& l, const Row& r) {
+    ConcatInto(combined, l, r);
+    if (!state.residual.empty()) {
+      EvalContext ec{&state.columns, &combined, nullptr, nullptr, &cache};
+      if (!ResidualHolds(state.residual, ec)) return false;
+    }
+    sink(combined);
+    return true;
   };
 
   // --- strategy selection per engine profile --------------------------
@@ -1150,8 +1158,8 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
     const std::string& column =
         right_table.schema().columns()[pair.second].name;
     ++counters_.index_scans;
-    // Probed right-side pages release per left row (ConcatRows copied
-    // everything the sink needs).
+    // Probed right-side pages release per left row (the sink copied
+    // everything it keeps).
     PinScope::Window window;
     for (size_t li = 0; li < left.row_count(); ++li) {
       window.Reset();
@@ -1173,11 +1181,7 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
               break;
             }
           }
-          if (!keys_ok) continue;
-          Row combined = ConcatRows(l, r);
-          if (!match_residual(combined)) continue;
-          sink(std::move(combined));
-          matched = true;
+          if (keys_ok && try_emit(l, r)) matched = true;
         }
       }
       if (!matched) emit_unmatched(l);
@@ -1193,55 +1197,49 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
   const Relation& right = state.right;
 
   if (use_hash) {
-    // Build on the right side, probe from the left, both block-at-a-time:
-    // governance ticks once per RowBatch::kCapacity rows, and the probe
-    // reuses one key buffer instead of allocating per row. Matches emit in
-    // left order, each left row's in right (build) order.
-    std::unordered_map<Row, std::vector<size_t>, KeyHash, KeyEq> built;
-    built.reserve(right.row_count());
+    // Build a KeyIndex over the right rows' ordinals, probe from the left,
+    // both block-at-a-time: governance ticks once per RowBatch::kCapacity
+    // rows. Keys are hashed and compared in place (a NULL key component
+    // never matches), so neither side copies a key. Matches emit in left
+    // order, each left row's in right (build) order.
+    KeyIndex index;
+    index.Reset(right.row_count());
     const auto build_one = [&](size_t i) {
       const Row& r = right.row(i);
-      Row key;
-      key.reserve(equi.size());
-      bool has_null = false;
+      size_t hash = KeyIndex::kSeed;
+      int64_t key_bytes = static_cast<int64_t>(sizeof(Row));
       for (const auto& pair : equi) {
         const Value& v = r[pair.second];
-        if (v.is_null()) {
-          has_null = true;
-          break;
-        }
-        key.push_back(v);
+        if (v.is_null()) return;
+        hash = KeyIndex::Mix(hash, v);
+        key_bytes += ValueFootprintBytes(v);
       }
-      if (!has_null) {
-        GovCharge(RowFootprintBytes(key) + static_cast<int64_t>(sizeof(size_t)));
-        built[std::move(key)].push_back(i);
-      }
+      // Charged as a key row plus its posting, per build entry.
+      GovCharge(key_bytes + static_cast<int64_t>(sizeof(size_t)));
+      index.Insert(static_cast<uint32_t>(i), hash);
     };
-    Row probe_key;
-    probe_key.reserve(equi.size());
     const auto probe_one = [&](size_t li) {
       const Row& l = left.row(li);
-      probe_key.clear();
-      bool has_null = false;
+      size_t hash = KeyIndex::kSeed;
       for (const auto& pair : equi) {
         const Value& v = l[pair.first];
         if (v.is_null()) {
-          has_null = true;
-          break;
+          emit_unmatched(l);
+          return;
         }
-        probe_key.push_back(v);
+        hash = KeyIndex::Mix(hash, v);
       }
-      bool matched = false;
-      if (!has_null) {
-        const auto it = built.find(probe_key);
-        if (it != built.end()) {
-          for (const size_t i : it->second) {
-            Row combined = ConcatRows(l, right.row(i));
-            if (!match_residual(combined)) continue;
-            sink(std::move(combined));
-            matched = true;
-          }
+      const auto same_key = [&](uint32_t i) {
+        const Row& r = right.row(i);
+        for (const auto& pair : equi) {
+          if (!Value::KeyEquals(l[pair.first], r[pair.second])) return false;
         }
+        return true;
+      };
+      bool matched = false;
+      for (uint32_t i = index.Find(hash, same_key); i != KeyIndex::kNone;
+           i = index.FindNext(i, hash, same_key)) {
+        if (try_emit(l, right.row(i))) matched = true;
       }
       if (!matched) emit_unmatched(l);
     };
@@ -1274,11 +1272,7 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
           break;
         }
       }
-      if (!keys_ok) continue;
-      Row combined = ConcatRows(l, r);
-      if (!match_residual(combined)) continue;
-      sink(std::move(combined));
-      matched = true;
+      if (keys_ok && try_emit(l, r)) matched = true;
     }
     if (!matched) emit_unmatched(l);
   }
@@ -1363,8 +1357,9 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
         CombinedOrderBindings(out.columns.size(), input_columns.size());
   }
 
-  std::unordered_map<const sql::Expr*, int> cache;
-  std::unordered_map<const sql::Expr*, int> order_cache;
+  ResolutionMemo cache;
+  ResolutionMemo order_cache;
+  Row combined;  // ORDER BY input: projected ++ input row
   const auto consume = [&](RowBatch& batch) {
     for (uint32_t i = 0; i < batch.selected; ++i) {
       const Row& row = *batch.rows[batch.selection[i]];
@@ -1379,7 +1374,7 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
         }
       }
       if (order_by != nullptr) {
-        Row combined = ConcatRows(projected, row);
+        ConcatInto(combined, projected, row);
         EvalContext oc{&order_bindings, &combined, nullptr, nullptr,
                        &order_cache};
         Row key;
@@ -1481,33 +1476,33 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
   }
   if (!grouped) counters_.scalar_fallbacks += scalar_aggs;
 
-  struct Group {
-    Row representative;
-    std::vector<Accumulator> accumulators;
-  };
-
-  const auto new_group = [&](const Row& row) {
-    Group group;
-    group.representative = row;
-    group.accumulators.reserve(agg_exprs.size());
+  // Groups in first-occurrence order, so the accumulator feed order and
+  // the output order are identical to the materializing pipeline's. Group
+  // g is its representative row and the accumulators
+  // [g * agg_count, (g + 1) * agg_count) of one flat vector.
+  const size_t agg_count = agg_exprs.size();
+  std::vector<Row> representatives;
+  std::vector<Accumulator> accumulators;
+  const auto add_group = [&](const Row& row) {
+    representatives.push_back(row);
     for (const sql::Expr* agg : agg_exprs) {
-      group.accumulators.emplace_back(agg->agg_func, agg->agg_distinct);
+      accumulators.emplace_back(agg->agg_func, agg->agg_distinct);
     }
-    return group;
   };
 
   // Scalar aggregates feed lane-major (aggregates inner, in collection
   // order), so a throwing argument raises on the first row that throws.
-  std::unordered_map<const sql::Expr*, int> cache;
-  const auto feed = [&](Group& group, const Row& row) {
+  ResolutionMemo cache;
+  const auto feed = [&](size_t group, const Row& row) {
+    Accumulator* accs = accumulators.data() + group * agg_count;
     EvalContext ec{&input_columns, &row, nullptr, nullptr, &cache};
-    for (size_t i = 0; i < agg_exprs.size(); ++i) {
+    for (size_t i = 0; i < agg_count; ++i) {
       if (specs[i].mode != AggSpec::Mode::kScalar) continue;
       const sql::Expr* agg = agg_exprs[i];
       if (agg->agg_star) {
-        group.accumulators[i].Add(Value(int64_t{1}));
+        accs[i].Add(Value(int64_t{1}));
       } else {
-        group.accumulators[i].Add(Evaluate(*agg->args[0], ec));
+        accs[i].Add(Evaluate(*agg->args[0], ec));
       }
     }
   };
@@ -1515,10 +1510,10 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
   // The span feeds: gather the selected non-NULL lanes of one column into
   // a dense buffer (SQL aggregates skip NULL inputs) and bulk-feed it —
   // the exact equivalent of the per-lane Add() sequence.
-  const auto feed_spans = [&](Group& group, const RowBatch& batch) {
-    for (size_t a = 0; a < agg_exprs.size(); ++a) {
+  const auto feed_spans = [&](size_t group, const RowBatch& batch) {
+    for (size_t a = 0; a < agg_count; ++a) {
       const AggSpec& spec = specs[a];
-      Accumulator& acc = group.accumulators[a];
+      Accumulator& acc = accumulators[group * agg_count + a];
       if (spec.mode == AggSpec::Mode::kScalar) continue;
       if (spec.mode == AggSpec::Mode::kCountStar) {
         acc.AddCountedRows(batch.selected);
@@ -1559,60 +1554,74 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
     }
   };
 
-  // Group rows as they stream in. The engine profile picks hash vs sort
-  // lookup; both are correct, they just cost differently (matching
-  // postgres vs mysql). Either way `groups` keeps first-occurrence order,
-  // so the accumulator feed order and the output order are identical to
-  // the materializing pipeline's.
-  std::vector<Group> groups;
+  // Group rows as they stream in. The engine profile picks the lookup:
+  // hash (a KeyIndex over the group ordinals, keys in one flat arena) or
+  // sort (an ordered map, the mysql family's plan). Both evaluate the key
+  // into one reused probe row.
   const bool hash_grouping =
       db_.profile().agg_algorithm == AggAlgorithm::kHash;
-  std::unordered_map<Row, size_t, KeyHash, KeyEq> hash_index;
+  const size_t key_width = core.group_by.size();
+  Row probe(key_width);
+  std::vector<Value> key_arena;  // group g's key: [g * key_width, +key_width)
+  KeyIndex hash_index;
   std::map<Row, size_t, KeyLess> sort_index;
+  const auto same_key = [&](uint32_t group) {
+    const Value* key = &key_arena[group * key_width];
+    for (size_t k = 0; k < key_width; ++k) {
+      if (!Value::KeyEquals(key[k], probe[k])) return false;
+    }
+    return true;
+  };
   const auto consume = [&](RowBatch& batch) {
     if (!grouped) {
       if (batch.selected == 0) return;
-      if (groups.empty()) {
-        groups.push_back(new_group(*batch.rows[batch.selection[0]]));
+      if (representatives.empty()) {
+        add_group(*batch.rows[batch.selection[0]]);
       }
       if (scalar_aggs > 0) {
         for (uint32_t i = 0; i < batch.selected; ++i) {
-          feed(groups[0], *batch.rows[batch.selection[i]]);
+          feed(0, *batch.rows[batch.selection[i]]);
         }
       }
-      feed_spans(groups[0], batch);
+      feed_spans(0, batch);
       return;
     }
     for (uint32_t i = 0; i < batch.selected; ++i) {
       const Row& row = *batch.rows[batch.selection[i]];
-      Row key;
-      key.reserve(core.group_by.size());
       EvalContext ec{&input_columns, &row, nullptr, nullptr, &cache};
-      for (const auto& expr : core.group_by) {
-        key.push_back(Evaluate(*expr, ec));
+      for (size_t k = 0; k < key_width; ++k) {
+        probe[k] = Evaluate(*core.group_by[k], ec);
       }
-      const int64_t key_bytes = RowFootprintBytes(key);
-      const size_t slot =
-          hash_grouping
-              ? hash_index.try_emplace(std::move(key), groups.size())
-                    .first->second
-              : sort_index.try_emplace(std::move(key), groups.size())
-                    .first->second;
-      if (slot == groups.size()) {
+      const size_t groups = representatives.size();
+      size_t slot = groups;
+      if (hash_grouping) {
+        size_t hash = KeyIndex::kSeed;
+        for (const Value& v : probe) hash = KeyIndex::Mix(hash, v);
+        const uint32_t found = hash_index.Find(hash, same_key);
+        if (found != KeyIndex::kNone) {
+          slot = found;
+        } else {
+          hash_index.Insert(static_cast<uint32_t>(groups), hash);
+          key_arena.insert(key_arena.end(), probe.begin(), probe.end());
+        }
+      } else {
+        slot = sort_index.try_emplace(probe, groups).first->second;
+      }
+      if (slot == groups) {
         // A new group holds its key, a representative row copy, and one
         // accumulator per aggregate expression.
-        GovCharge(key_bytes + RowFootprintBytes(row) +
-                  static_cast<int64_t>(agg_exprs.size() * sizeof(Accumulator)));
-        groups.push_back(new_group(row));
+        GovCharge(RowFootprintBytes(probe) + RowFootprintBytes(row) +
+                  static_cast<int64_t>(agg_count * sizeof(Accumulator)));
+        add_group(row);
       }
-      feed(groups[slot], row);
+      feed(slot, row);
     }
   };
   input(consume);
-  if (!grouped && groups.empty()) {
+  if (!grouped && representatives.empty()) {
     // Aggregating an empty input still yields one group; its
     // representative is an all-NULL row.
-    groups.push_back(new_group(Row(input_columns.size())));
+    add_group(Row(input_columns.size()));
   }
 
   // Project each group.
@@ -1633,15 +1642,17 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
         CombinedOrderBindings(out.columns.size(), input_columns.size());
   }
 
-  std::unordered_map<const sql::Expr*, int> project_cache;
-  std::unordered_map<const sql::Expr*, int> order_cache;
-  for (const Group& group : groups) {
-    std::vector<Value> agg_values;
-    agg_values.reserve(group.accumulators.size());
-    for (const Accumulator& acc : group.accumulators) {
-      agg_values.push_back(acc.Result());
+  ResolutionMemo project_cache;
+  ResolutionMemo order_cache;
+  std::vector<Value> agg_values;
+  agg_values.reserve(agg_count);
+  Row combined;  // ORDER BY input: projected ++ representative
+  for (size_t g = 0; g < representatives.size(); ++g) {
+    agg_values.clear();
+    for (size_t a = 0; a < agg_count; ++a) {
+      agg_values.push_back(accumulators[g * agg_count + a].Result());
     }
-    EvalContext ec{&input_columns, &group.representative, &agg_exprs,
+    EvalContext ec{&input_columns, &representatives[g], &agg_exprs,
                    &agg_values, &project_cache};
     if (core.having && !Truthy(Evaluate(*core.having, ec))) continue;
     Row projected;
@@ -1650,7 +1661,7 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
       projected.push_back(Evaluate(*item.expr, ec));
     }
     if (order_by != nullptr) {
-      Row combined = ConcatRows(projected, group.representative);
+      ConcatInto(combined, projected, representatives[g]);
       EvalContext oc{&order_bindings, &combined, &agg_exprs, &agg_values,
                      &order_cache};
       Row key;
@@ -1729,7 +1740,7 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
   // fan-out counts toward cancel_check_rows whether or not it survives.
   constexpr size_t kJoinStageRows = 64;
   std::vector<Row> staged(kJoinStageRows);
-  std::unordered_map<const sql::Expr*, int> where_cache;
+  ResolutionMemo where_cache;
   const auto source = [&](const BatchSink& sink) {
     size_t count = 0;
     const auto flush = [&] {
@@ -1740,7 +1751,7 @@ bool Executor::EvalBatchCore(const sql::SelectCore& core, ExecContext& ctx,
       sink(batch_);
       count = 0;
     };
-    RunJoin(state, [&](Row&& row) {
+    RunJoin(state, [&](const Row& row) {
       GovTick();
       if (!residual.empty()) {
         EvalContext ec{&state.columns, &row, nullptr, nullptr, &where_cache};
@@ -1811,24 +1822,34 @@ Relation Executor::EvalCore(const sql::SelectCore& core, ExecContext& ctx,
     out = EvalCoreReference(core, ctx, aggregate_mode, order_by, sort_keys);
   }
 
-  if (core.distinct) {
-    std::unordered_set<Row, KeyHash, KeyEq> seen;
-    std::vector<Row> unique;
-    std::vector<Row> unique_keys;
-    unique.reserve(out.rows.size());
-    for (size_t i = 0; i < out.rows.size(); ++i) {
-      GovTick();
-      if (seen.insert(out.rows[i]).second) {
-        unique.push_back(std::move(out.rows[i]));
-        if (sort_keys != nullptr) {
-          unique_keys.push_back(std::move((*sort_keys)[i]));
-        }
-      }
-    }
-    out.rows = std::move(unique);
-    if (sort_keys != nullptr) *sort_keys = std::move(unique_keys);
-  }
+  if (core.distinct) DedupeRows(out.rows, sort_keys);
   return out;
+}
+
+void Executor::DedupeRows(std::vector<Row>& rows,
+                          std::vector<Row>* sort_keys) {
+  // The index covers the kept prefix: a first occurrence moves down to
+  // slot `kept` and is indexed there, so probes compare kept rows only.
+  KeyIndex index;
+  index.Reset(rows.size());
+  size_t kept = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    GovTick();
+    const Row& row = rows[i];
+    const size_t hash = RowKeyHash(row);
+    const auto same_row = [&](uint32_t k) {
+      return RowKeyEquals(rows[k], row);
+    };
+    if (index.Find(hash, same_row) != KeyIndex::kNone) continue;
+    if (kept != i) {
+      rows[kept] = std::move(rows[i]);
+      if (sort_keys != nullptr) (*sort_keys)[kept] = std::move((*sort_keys)[i]);
+    }
+    index.Insert(static_cast<uint32_t>(kept), hash);
+    ++kept;
+  }
+  rows.resize(kept);
+  if (sort_keys != nullptr) sort_keys->resize(kept);
 }
 
 Relation Executor::EvalCoreReference(
@@ -1897,7 +1918,7 @@ Relation Executor::EvalCoreReference(
   }
 
   if (core.where) {
-    std::unordered_map<const sql::Expr*, int> cache;
+    ResolutionMemo cache;
     if (input.borrowed) {
       // Filtering a borrowed relation just drops views, no row copies.
       std::vector<const Row*> kept;
@@ -1977,14 +1998,7 @@ ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx) {
                          std::make_move_iterator(next.rows.begin()),
                          std::make_move_iterator(next.rows.end()));
     if (stmt.set_ops[i - 1] == sql::SetOp::kUnion) {
-      std::unordered_set<Row, KeyHash, KeyEq> seen;
-      std::vector<Row> unique;
-      unique.reserve(combined.rows.size());
-      for (Row& row : combined.rows) {
-        GovTick();
-        if (seen.insert(row).second) unique.push_back(std::move(row));
-      }
-      combined.rows = std::move(unique);
+      DedupeRows(combined.rows, /*sort_keys=*/nullptr);
     }
   }
 
@@ -1998,7 +2012,7 @@ ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx) {
       }
       const auto bindings =
           CombinedOrderBindings(combined.columns.size(), 0);
-      std::unordered_map<const sql::Expr*, int> cache;
+      ResolutionMemo cache;
       sort_keys.clear();
       sort_keys.reserve(combined.rows.size());
       for (const Row& row : combined.rows) {
@@ -2215,6 +2229,11 @@ ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session,
     }
   }
 
+  // A source row already in schema order moves into the table as is.
+  bool schema_order = positions.size() == schema.column_count();
+  for (size_t i = 0; schema_order && i < positions.size(); ++i) {
+    schema_order = positions[i] == static_cast<int>(i);
+  }
   BackupForTransaction(session, *table);
   size_t inserted = 0;
   for (Row& source : incoming) {
@@ -2223,11 +2242,15 @@ ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session,
                            std::to_string(source.size()) + " values for " +
                            std::to_string(positions.size()) + " columns");
     }
-    Row full(schema.column_count());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      full[positions[i]] = std::move(source[i]);
+    if (schema_order) {
+      table->Insert(std::move(source));
+    } else {
+      Row full(schema.column_count());
+      for (size_t i = 0; i < positions.size(); ++i) {
+        full[positions[i]] = std::move(source[i]);
+      }
+      table->Insert(std::move(full));
     }
-    table->Insert(std::move(full));
     ++inserted;
   }
   ResultSet result;
@@ -2264,7 +2287,7 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
   }
 
   std::vector<std::pair<size_t, Row>> pending;  // (row id, new row)
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionMemo cache;
 
   if (stmt.update_from) {
     // UPDATE ... FROM <source>: match each target row against the source,
@@ -2311,17 +2334,23 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
     // `source` may hold borrowed views into the target table itself
     // (UPDATE t ... FROM t AS s). All matching reads finish before the
     // pending writes apply, and Table::Update assigns slots in place, so
-    // the views stay valid for the whole match phase.
-    std::unordered_multimap<Value, size_t, ValueKeyHash, ValueKeyEq> by_key;
+    // the views stay valid for the whole match phase. The KeyIndex walks a
+    // key's source rows in source order, so the keyed and the unkeyed
+    // match agree on which row is first.
+    KeyIndex by_key;
     if (target_key >= 0) {
-      by_key.reserve(source.row_count());
+      by_key.Reset(source.row_count());
       for (size_t i = 0; i < source.row_count(); ++i) {
         GovTick();
         const Value& key = source.row(i)[source_key];
-        if (!key.is_null()) by_key.emplace(key, i);
+        if (!key.is_null()) {
+          by_key.Insert(static_cast<uint32_t>(i),
+                        KeyIndex::Mix(KeyIndex::kSeed, key));
+        }
       }
     }
 
+    Row combined_row;  // target ++ source, reassembled per candidate
     PinScope::Window window;
     for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
       if ((row_id & kPageRowMask) == 0) window.Reset();
@@ -2331,7 +2360,7 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       const Row& current = table->At(row_id);
 
       const auto try_match = [&](const Row& source_row) -> bool {
-        Row combined_row = ConcatRows(current, source_row);
+        ConcatInto(combined_row, current, source_row);
         EvalContext ec{&combined, &combined_row, nullptr, nullptr, &cache};
         if (!ResidualHolds(residual, ec)) return false;
         Row updated = current;
@@ -2357,9 +2386,13 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       if (target_key >= 0) {
         const Value& key = current[target_key];
         if (key.is_null()) continue;
-        const auto [begin, end] = by_key.equal_range(key);
-        for (auto it = begin; it != end; ++it) {
-          if (try_match(source.row(it->second))) break;  // first match wins
+        const size_t hash = KeyIndex::Mix(KeyIndex::kSeed, key);
+        const auto same_key = [&](uint32_t i) {
+          return Value::KeyEquals(source.row(i)[source_key], key);
+        };
+        for (uint32_t i = by_key.Find(hash, same_key); i != KeyIndex::kNone;
+             i = by_key.FindNext(i, hash, same_key)) {
+          if (try_match(source.row(i))) break;  // first match wins
         }
       } else {
         for (size_t i = 0; i < source.row_count(); ++i) {
@@ -2416,7 +2449,7 @@ ResultSet Executor::ExecDelete(const sql::Statement& stmt, Session* session) {
     columns.push_back({alias, column.name});
   }
   std::vector<size_t> doomed;
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionMemo cache;
   PinScope::Window window;
   for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
     if ((row_id & kPageRowMask) == 0) window.Reset();

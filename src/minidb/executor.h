@@ -27,9 +27,10 @@
 
 namespace sqloop::minidb {
 
-// Join emission callback: RunJoin hands each combined row to the sink,
-// which takes ownership (FunctionRef is non-owning).
-using OwnedRowSink = FunctionRef<void(Row&&)>;
+// Join emission callback: RunJoin hands each combined row to the sink in
+// one reused buffer, valid only for the call (a sink that keeps the row
+// copies it; FunctionRef is non-owning).
+using JoinRowSink = FunctionRef<void(const Row&)>;
 
 /// Per-connection state: an open transaction's table backups. minidb
 /// transactions give statement-level isolation with all-or-nothing
@@ -264,6 +265,10 @@ class Executor {
   /// Pushes `rel`'s rows into `sink` as batches of views (the reference
   /// pipeline's producer).
   void FeedRelation(const Relation& rel, const BatchSink& sink);
+  /// Drops every row KeyEquals-equal, column by column, to an earlier one
+  /// (DISTINCT, UNION), keeping first occurrences in order. `sort_keys`,
+  /// when set, holds one key per row and is compacted alongside.
+  void DedupeRows(std::vector<Row>& rows, std::vector<Row>* sort_keys);
   Relation EvalTableRef(const sql::TableRef& ref, ExecContext& ctx);
   Relation EvalJoin(const sql::TableRef& join, ExecContext& ctx);
   /// Evaluates one join input. When `pending` is non-null, WHERE conjuncts
@@ -274,10 +279,11 @@ class Executor {
                          std::vector<const sql::Expr*>* pending);
   JoinState PrepareJoin(const sql::TableRef& join, ExecContext& ctx,
                         std::vector<const sql::Expr*>* pending);
-  /// Streams the join's combined rows into `sink` (ownership passes to the
-  /// sink). Strategy per engine profile, as before: index nested loop,
-  /// hash, or plain nested loop, with LEFT JOIN NULL-padding.
-  void RunJoin(JoinState& state, const OwnedRowSink& sink);
+  /// Streams the join's combined rows into `sink`, in left order and each
+  /// left row's matches in right order. Strategy per engine profile: index
+  /// nested loop, hash (a KeyIndex over the right rows), or plain nested
+  /// loop, with LEFT JOIN NULL-padding.
+  void RunJoin(JoinState& state, const JoinRowSink& sink);
   Relation ScanTable(const Table& table, const std::string& alias);
   /// Relation form of ScanBatched (join inputs): the matching rows' views,
   /// with an index probe chosen from `pushed` when available.

@@ -1,5 +1,6 @@
 #include "telemetry/exporters.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -113,6 +114,18 @@ std::string Sanitize(const std::string& name) {
 void Metric(std::ostringstream& out, const std::string& name,
             const std::string& value) {
   out << "# TYPE " << name << " counter\n" << name << ' ' << value << "\n";
+}
+
+/// Inserts `name` = 0 into sorted `entries` when absent.
+template <typename T>
+void DefaultToZero(std::vector<std::pair<std::string, T>>& entries,
+                   const std::string& name) {
+  const auto at = std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const auto& entry, const std::string& key) {
+        return entry.first < key;
+      });
+  if (at == entries.end() || at->first != name) entries.insert(at, {name, T{}});
 }
 
 }  // namespace
@@ -272,19 +285,19 @@ std::string Summary(const Recorder& recorder) {
       out << line;
     }
   }
-  const auto counters = recorder.Counters();
-  if (!counters.empty()) {
-    out << "counters:\n";
-    for (const auto& [name, value] : counters) {
-      out << "  " << name << " = " << value << "\n";
-    }
+  // Counters and timers come into being on their first Add, but a job
+  // that parsed nothing parsed zero times: the parse pair always prints.
+  auto counters = recorder.Counters();
+  DefaultToZero(counters, "sql.parse_count");
+  out << "counters:\n";
+  for (const auto& [name, value] : counters) {
+    out << "  " << name << " = " << value << "\n";
   }
-  const auto timers = recorder.Timers();
-  if (!timers.empty()) {
-    out << "timers:\n";
-    for (const auto& [name, seconds] : timers) {
-      out << "  " << name << " = " << Num(seconds) << "s\n";
-    }
+  auto timers = recorder.Timers();
+  DefaultToZero(timers, "sql.parse_seconds");
+  out << "timers:\n";
+  for (const auto& [name, seconds] : timers) {
+    out << "  " << name << " = " << Num(seconds) << "s\n";
   }
   return out.str();
 }

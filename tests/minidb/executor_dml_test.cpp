@@ -84,6 +84,21 @@ TEST_F(DmlTest, UpdateWithFromFirstMatchWins) {
   EXPECT_TRUE(rank == 100.0 || rank == 200.0);
 }
 
+// With duplicate source keys the first source row in source order wins,
+// whether the predicate is the hash-matched `t.k = s.k` or a shape that
+// scans every source row.
+TEST_F(DmlTest, UpdateWithFromTakesFirstSourceRowOnEveryPath) {
+  Run("CREATE TABLE s (k BIGINT, w BIGINT)");
+  Run("INSERT INTO s VALUES (1, 10), (1, 20), (1, 30)");
+  for (const char* predicate : {"t.k = s.k", "t.k + 0 = s.k"}) {
+    Run("DROP TABLE IF EXISTS t");
+    Run("CREATE TABLE t (k BIGINT, v BIGINT)");
+    Run("INSERT INTO t VALUES (1, 0)");
+    Run(std::string("UPDATE t SET v = s.w FROM s WHERE ") + predicate);
+    EXPECT_EQ(Scalar("SELECT v FROM t").as_int(), 10) << predicate;
+  }
+}
+
 TEST_F(DmlTest, UpdateWithFromNoMatchLeavesRow) {
   Run("CREATE TABLE src (id BIGINT, v DOUBLE)");
   Run("INSERT INTO src VALUES (99, 1.0)");

@@ -150,6 +150,21 @@ TEST(ExportersTest, SummaryRendersRoundsAndCounters) {
   EXPECT_NE(text.find("42"), std::string::npos);
 }
 
+TEST(ExportersTest, SummaryPrintsParseCountersAsZeroWhenNothingParsed) {
+  Recorder rec;
+  FillSample(rec);  // a job whose statements were all served from cache
+  ASSERT_EQ(rec.counter("sql.parse_count"), 0u);
+  const std::string text = Summary(rec);
+  EXPECT_NE(text.find("  sql.parse_count = 0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  sql.parse_seconds = 0s\n"), std::string::npos)
+      << text;
+  // Recorded values print as recorded, once.
+  rec.Add("sql.parse_count", 3);
+  const std::string parsed = Summary(rec);
+  EXPECT_NE(parsed.find("  sql.parse_count = 3\n"), std::string::npos);
+  EXPECT_EQ(parsed.find("sql.parse_count = 0"), std::string::npos);
+}
+
 TEST(ExportersTest, EmptyRecorderExportsAreWellFormed) {
   Recorder rec;
   EXPECT_EQ(JsonLines(rec), "");
