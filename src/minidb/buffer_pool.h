@@ -11,27 +11,30 @@
 // Table::ConfigureStorage): readers of never-evictable tables skip pin
 // bookkeeping entirely, which is what keeps the hit-path overhead low.
 //
-// Locking: one pool mutex guards every page state transition (pin counts,
-// residency, dirty bits, the clock ring) and the spill-file I/O. Callers
-// hold table locks *before* the pool mutex and the pool never takes a
-// table lock, so the order is acyclic. Page payloads (`Page::rows`) are
-// only touched by threads holding a pin — eviction and write-back only
-// handle unpinned pages — so the pin/unpin mutex pair is the
-// happens-before edge between a writer's mutation and the evictor's
-// serialization.
+// Locking: the pool mutex guards page metadata only — pin counts,
+// residency, dirty and reference bits, the I/O flag, the clock ring and
+// the resident-byte figures. Spill-file reads and writes, (de)serialization
+// and CRC work run with it released: the thread that set a page's `io`
+// flag owns the page's payload until it clears the flag, and a Pin that
+// finds the flag set waits on the pool's condition variable. Callers hold
+// table locks *before* the pool mutex and the pool never takes a table
+// lock, so the order is acyclic. Page payloads are otherwise only touched
+// by threads holding a pin — eviction only picks unpinned pages and marks
+// them in I/O before it lets go of the mutex — so the pin/unpin mutex pair
+// is the happens-before edge between a writer's mutation and the
+// evictor's serialization.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "minidb/page.h"
 
 namespace sqloop::minidb {
@@ -40,12 +43,24 @@ class Table;
 
 class BufferPool {
  public:
-  struct Stats {
+  /// Pool activity: the pool's lifetime totals (Stats) and, per thread,
+  /// what that thread caused since it last called TakeThreadCounters.
+  struct Counters {
     uint64_t hits = 0;            // pins satisfied by a resident page
     uint64_t misses = 0;          // pins that faulted the page in
     uint64_t pages_evicted = 0;
     uint64_t bytes_spilled = 0;   // bytes written to spill files
-    uint64_t writebacks = 0;      // background clean-ahead page writes
+
+    Counters& operator+=(const Counters& other) noexcept {
+      hits += other.hits;
+      misses += other.misses;
+      pages_evicted += other.pages_evicted;
+      bytes_spilled += other.bytes_spilled;
+      return *this;
+    }
+  };
+
+  struct Stats : Counters {
     int64_t resident_bytes = 0;   // registered pages currently in memory
     int64_t resident_peak = 0;
     int64_t budget_bytes = 0;     // 0 = unbounded
@@ -70,25 +85,31 @@ class BufferPool {
 
   // --- table-facing API (callers hold the table's lock) -----------------
 
-  /// Registers a freshly created resident page in the clock ring and
-  /// evicts colder pages if the budget is now crossed.
+  /// Registers a freshly created, still empty resident page in the clock
+  /// ring. It holds no row bytes yet, so registering never evicts; the
+  /// first PageWritten on it does, once the caller has it pinned.
   void AddPage(Page* page);
 
-  /// Accounts a resident page growing by `delta` bytes (inserts into the
-  /// tail page; row updates in place).
-  void PageGrew(Page* page, int64_t delta);
+  /// Accounts a mutation of a pinned page in one call: its bytes changed
+  /// by `delta` and its payload now diverges from its spill image. Evicts
+  /// colder pages if the budget is now crossed.
+  void PageWritten(Page* page, int64_t delta);
 
-  /// Pins `page` (faulting it in from the spill file when evicted) and
-  /// sets the clock-reference bit. Pairs with Unpin.
+  /// Pins `page` (faulting it in from the spill file when evicted, or
+  /// waiting out an I/O in flight on it) and sets the clock-reference bit.
+  /// Pairs with Unpin.
   void Pin(Page* page);
   void Unpin(Page* page);
 
-  /// Marks a pinned page's payload as diverged from its spill image.
-  void MarkDirty(Page* page);
-
-  /// Drops every pool registration and the spill file of `table`
-  /// (Table::Clear and the table destructor).
-  void ForgetTable(Table* table);
+  /// Unregisters `pages` — every page of `table` — once no write-back is
+  /// in flight on them. The table's spill file stays open, and its space
+  /// is reused from offset 0 (Table::Clear).
+  void ForgetPages(const Table* table,
+                   std::span<const std::unique_ptr<Page>> pages);
+  /// ForgetPages, then closes and removes the table's spill file (the
+  /// table's destructor).
+  void ForgetTable(const Table* table,
+                   std::span<const std::unique_ptr<Page>> pages);
 
   // --- pressure hooks ---------------------------------------------------
 
@@ -104,50 +125,58 @@ class BufferPool {
 
   Stats stats() const;
 
- private:
-  struct SpillFile {
-    std::FILE* file = nullptr;
-    std::string path;
-    uint64_t end_offset = 0;
-  };
+  /// Returns the calling thread's pool activity (summed over every pool)
+  /// since its previous call, and resets it. The executor drains it once
+  /// per statement, so each connection reports what it caused.
+  static Counters TakeThreadCounters() noexcept;
 
-  /// Under lock_: evicts clock-ring pages (skipping pinned ones, giving
-  /// referenced ones a second chance) until resident bytes fit in
-  /// `target` or no victim remains. Returns bytes freed.
-  int64_t EvictUntil(int64_t target);
-  /// Under lock_: serializes `page` into its table's spill file (in place
-  /// when the new image fits, appended otherwise) and clears dirty.
-  void WriteBack(Page* page);
-  /// Under lock_: reloads a spilled page's rows and re-registers it.
-  void FaultIn(Page* page);
-  /// Under lock_: removes `page` from the clock ring (swap-with-last).
+ private:
+  /// One per table for the table's lifetime: opened on the first
+  /// write-back, rewound (not re-created) by ForgetPages.
+  struct SpillFile {
+    std::string path;
+    std::once_flag opened;
+    int fd = -1;
+    std::atomic<uint64_t> end{0};  // next free byte; slots are appended
+  };
+  using Lock = std::unique_lock<std::mutex>;
+
+  /// Under `lock`: evicts clock-ring pages (skipping pinned pages and
+  /// pages in I/O, giving referenced ones a second chance) until resident
+  /// bytes fit in `target` or no victim remains. Returns bytes freed.
+  int64_t EvictUntil(Lock& lock, int64_t target);
+  /// Under `lock`: evicts the unpinned resident `page`. It is marked in
+  /// I/O and leaves the resident figure at once; the lock is released
+  /// while a dirty page is serialized and written back (in place when the
+  /// new image fits its slot, appended otherwise) and its payload freed.
+  void Evict(Lock& lock, Page* page);
+  /// Under `lock`, for a pinned spilled page: makes room, then reads,
+  /// checks and deserializes its image with the lock released. On failure
+  /// the pin is dropped and the I/O state cleared before rethrowing.
+  void FaultIn(Lock& lock, Page* page);
+  /// Under lock_: resident bytes grew by `delta` (peak tracking).
+  void AddResident(int64_t delta) noexcept;
+  /// Under lock_: adds `delta` to the pool totals and this thread's.
+  void Tally(const Counters& delta) noexcept;
+  /// Under lock_: clock-ring membership (swap-with-last removal).
+  void RingAdd(Page* page);
   void RingRemove(Page* page);
-  SpillFile& SpillFor(Table* table);
-  void WriterLoop();
+  /// Under lock_: `table`'s spill file entry, created on first use.
+  SpillFile& SpillFor(const Table* table);
+  void Forget(const Table* table,
+              std::span<const std::unique_ptr<Page>> pages, bool drop_file);
 
   const std::string spill_dir_;
   std::atomic<int64_t> budget_{0};
 
   mutable std::mutex lock_;
+  std::condition_variable io_done_;  // some page's `io` flag cleared
   std::vector<Page*> ring_;  // clock ring over registered resident pages
   size_t hand_ = 0;
-  std::unordered_map<Table*, SpillFile> spill_files_;
+  std::unordered_map<const Table*, SpillFile> spill_files_;
   int64_t resident_bytes_ = 0;
   int64_t resident_peak_ = 0;
-
-  // Background write-back: cleans a few dirty unpinned pages per tick so
-  // evictions mostly find clean victims (drop, no I/O). Started when the
-  // pool first becomes bounded.
-  std::thread writer_;
-  std::condition_variable writer_cv_;
-  bool stop_writer_ = false;
-  bool writer_started_ = false;
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> pages_evicted_{0};
-  std::atomic<uint64_t> bytes_spilled_{0};
-  std::atomic<uint64_t> writebacks_{0};
+  Counters totals_;
 };
 
 }  // namespace sqloop::minidb

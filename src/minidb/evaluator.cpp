@@ -24,31 +24,45 @@ namespace {
                        std::string(ValueTypeName(b.type())));
 }
 
+/// BIGINT addition in two's complement (SUM's running total): signed
+/// overflow is undefined, so the add runs on uint64_t.
+int64_t WrapAdd(int64_t a, int64_t b) noexcept {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 Value Arithmetic(sql::BinaryOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (!a.is_numeric() || !b.is_numeric()) {
     TypeFail(sql::BinaryOpName(op), a, b);
   }
   const bool ints = a.is_int() && b.is_int();
+  // BIGINT + - * wrap in two's complement: computed on uint64_t, where
+  // overflow is defined, and cast back (signed overflow is undefined).
+  const auto ua = static_cast<uint64_t>(ints ? a.as_int() : 0);
+  const auto ub = static_cast<uint64_t>(ints ? b.as_int() : 0);
   switch (op) {
     case sql::BinaryOp::kAdd:
-      if (ints) return Value(a.as_int() + b.as_int());
+      if (ints) return Value(static_cast<int64_t>(ua + ub));
       return Value(a.NumericAsDouble() + b.NumericAsDouble());
     case sql::BinaryOp::kSub:
-      if (ints) return Value(a.as_int() - b.as_int());
+      if (ints) return Value(static_cast<int64_t>(ua - ub));
       return Value(a.NumericAsDouble() - b.NumericAsDouble());
     case sql::BinaryOp::kMul:
-      if (ints) return Value(a.as_int() * b.as_int());
+      if (ints) return Value(static_cast<int64_t>(ua * ub));
       return Value(a.NumericAsDouble() * b.NumericAsDouble());
     case sql::BinaryOp::kDiv:
       if (ints) {
         if (b.as_int() == 0) throw ExecutionError("integer division by zero");
+        // INT64_MIN / -1 overflows (and traps on x86): wrap like `-`.
+        if (b.as_int() == -1) return Value(static_cast<int64_t>(0 - ua));
         return Value(a.as_int() / b.as_int());
       }
       return Value(a.NumericAsDouble() / b.NumericAsDouble());
     case sql::BinaryOp::kMod:
       if (!ints) TypeFail("%", a, b);
       if (b.as_int() == 0) throw ExecutionError("modulo by zero");
+      if (b.as_int() == -1) return Value(int64_t{0});  // as for `/`
       return Value(a.as_int() % b.as_int());
     default:
       break;
@@ -137,7 +151,11 @@ Value EvalFunction(const sql::Expr& expr, const EvalContext& ctx) {
   if (name == "ABS") {
     if (args.size() != 1) throw ExecutionError("ABS expects one argument");
     if (args[0].is_null()) return Value::Null();
-    if (args[0].is_int()) return Value(std::abs(args[0].as_int()));
+    if (args[0].is_int()) {  // ABS(INT64_MIN) wraps to itself, like `-`
+      const int64_t v = args[0].as_int();
+      return Value(v < 0 ? static_cast<int64_t>(0 - static_cast<uint64_t>(v))
+                         : v);
+    }
     if (args[0].is_double()) return Value(std::fabs(args[0].as_double()));
     throw ExecutionError("ABS expects a numeric argument");
   }
@@ -226,7 +244,10 @@ Value Evaluate(const sql::Expr& expr, const EvalContext& ctx) {
       const Value v = Evaluate(*expr.left, ctx);
       if (expr.unary_op == sql::UnaryOp::kNegate) {
         if (v.is_null()) return Value::Null();
-        if (v.is_int()) return Value(-v.as_int());
+        if (v.is_int()) {  // wraps at INT64_MIN, like binary `-`
+          return Value(static_cast<int64_t>(
+              0 - static_cast<uint64_t>(v.as_int())));
+        }
         if (v.is_double()) return Value(-v.as_double());
         throw ExecutionError("cannot negate a TEXT value");
       }
@@ -320,7 +341,7 @@ void Accumulator::Add(const Value& v) {
         throw ExecutionError("SUM/AVG over non-numeric value");
       }
       if (v.is_int() && !saw_double_) {
-        int_sum_ += v.as_int();
+        int_sum_ = WrapAdd(int_sum_, v.as_int());
       } else {
         if (!saw_double_) {
           double_sum_ = static_cast<double>(int_sum_);
@@ -346,9 +367,11 @@ void Accumulator::AddInt64Span(const int64_t* values, size_t count) {
     case sql::AggFunc::kSum:
     case sql::AggFunc::kAvg:
       if (!saw_double_) {
-        int64_t sum = 0;
-        for (size_t i = 0; i < count; ++i) sum += values[i];
-        int_sum_ += sum;
+        uint64_t sum = 0;
+        for (size_t i = 0; i < count; ++i) {
+          sum += static_cast<uint64_t>(values[i]);
+        }
+        int_sum_ = WrapAdd(int_sum_, static_cast<int64_t>(sum));
       } else {
         for (size_t i = 0; i < count; ++i) {
           double_sum_ += static_cast<double>(values[i]);

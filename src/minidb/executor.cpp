@@ -266,6 +266,12 @@ std::string OutputName(const sql::SelectItem& item, size_t index) {
   return "col" + std::to_string(index + 1);
 }
 
+// Whether two row ids live on one page (DML apply loops release a page's
+// pin once they move past it).
+bool SamePage(size_t a, size_t b) noexcept {
+  return (a >> kPageRowShift) == (b >> kPageRowShift);
+}
+
 // KeyIndex hashing and key equality over whole rows (DISTINCT, UNION).
 size_t RowKeyHash(const Row& row) noexcept {
   size_t hash = KeyIndex::kSeed;
@@ -2236,21 +2242,27 @@ ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session,
   }
   BackupForTransaction(session, *table);
   size_t inserted = 0;
+  // Inserts pin the tail page into the statement scope; each page's pin
+  // is released once the page is full, so a large INSERT ... SELECT into
+  // a spill-enabled table holds one tail page at a time.
+  PinScope::Window window;
   for (Row& source : incoming) {
     if (source.size() != positions.size()) {
       throw ExecutionError("INSERT supplies " +
                            std::to_string(source.size()) + " values for " +
                            std::to_string(positions.size()) + " columns");
     }
+    size_t row_id;
     if (schema_order) {
-      table->Insert(std::move(source));
+      row_id = table->Insert(std::move(source));
     } else {
       Row full(schema.column_count());
       for (size_t i = 0; i < positions.size(); ++i) {
         full[positions[i]] = std::move(source[i]);
       }
-      table->Insert(std::move(full));
+      row_id = table->Insert(std::move(full));
     }
+    if ((row_id & kPageRowMask) == kPageRowMask) window.Reset();
     ++inserted;
   }
   ResultSet result;
@@ -2430,7 +2442,12 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
   }
 
   BackupForTransaction(session, *table);
-  for (auto& [row_id, row] : pending) {
+  // Row ids ascend, so the window drops each page's pin once the updates
+  // move past it.
+  PinScope::Window window;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    auto& [row_id, row] = pending[i];
+    if (i > 0 && !SamePage(pending[i - 1].first, row_id)) window.Reset();
     table->Update(row_id, std::move(row));
   }
   ResultSet result;
@@ -2464,7 +2481,11 @@ ResultSet Executor::ExecDelete(const sql::Statement& stmt, Session* session) {
     doomed.push_back(row_id);
   }
   BackupForTransaction(session, *table);
-  for (const size_t row_id : doomed) table->Delete(row_id);
+  PinScope::Window apply_window;  // as in ExecUpdate's apply loop
+  for (size_t i = 0; i < doomed.size(); ++i) {
+    if (i > 0 && !SamePage(doomed[i - 1], doomed[i])) apply_window.Reset();
+    table->Delete(doomed[i]);
+  }
   ResultSet result;
   result.affected_rows = doomed.size();
   return result;
@@ -2570,25 +2591,17 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
   if (counters_.pruned_cores != 0) {
     SQLOOP_COUNT(recorder_, "minidb.pruned_cores", counters_.pruned_cores);
   }
-  // Buffer-pool deltas: the pool's counters are pool-lifetime, so each
-  // statement flushes only what it moved. Unbounded pools never pin or
-  // evict — skip the stats lock entirely.
-  if (db_.buffer_pool().bounded()) {
-    const BufferPool::Stats pool = db_.buffer_pool().stats();
-    const auto flush = [this](const char* name, uint64_t now,
-                              uint64_t& last) {
-      if (now != last) {
-        SQLOOP_COUNT(recorder_, name, static_cast<int64_t>(now - last));
-        last = now;
-      }
-    };
-    flush("minidb.pool_hits", pool.hits, pool_last_.hits);
-    flush("minidb.pool_misses", pool.misses, pool_last_.misses);
-    flush("minidb.pages_evicted", pool.pages_evicted,
-          pool_last_.pages_evicted);
-    flush("minidb.bytes_spilled", pool.bytes_spilled,
-          pool_last_.bytes_spilled);
-  }
+  // Buffer-pool activity is counted at the source, per thread: this
+  // thread's pins, fault-ins and evictions since its last statement, with
+  // no pool lock taken. Unbounded pools never pin or evict.
+  const BufferPool::Counters pool = BufferPool::TakeThreadCounters();
+  const auto flush = [this](const char* name, uint64_t count) {
+    if (count != 0) SQLOOP_COUNT(recorder_, name, static_cast<int64_t>(count));
+  };
+  flush("minidb.pool_hits", pool.hits);
+  flush("minidb.pool_misses", pool.misses);
+  flush("minidb.pages_evicted", pool.pages_evicted);
+  flush("minidb.bytes_spilled", pool.bytes_spilled);
   return result;
 }
 
@@ -2828,7 +2841,12 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
                       /*if_not_exists=*/false);
       const auto table = db_.FindTable(stmt.table_name);
       const std::scoped_lock lock(table->lock());
-      for (auto& row : contents.rows) table->Insert(std::move(row));
+      PinScope::Window window;  // as in ExecInsert
+      for (auto& row : contents.rows) {
+        if ((table->Insert(std::move(row)) & kPageRowMask) == kPageRowMask) {
+          window.Reset();
+        }
+      }
       ResultSet result;
       result.affected_rows = contents.rows.size();
       return result;

@@ -379,15 +379,6 @@ class Executor {
   RowBatch batch_;
   ColumnVector gather_;
   std::vector<uint8_t> lane_pass_;
-  // Last-seen cumulative buffer-pool counters, so each statement flushes
-  // its delta to telemetry (the pool's counters are pool-lifetime).
-  struct PoolCounters {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t pages_evicted = 0;
-    uint64_t bytes_spilled = 0;
-  };
-  PoolCounters pool_last_;
   telemetry::Recorder* recorder_ = nullptr;
   // Governor state (see the public resource-governance section).
   const CancelToken* cancel_ = nullptr;

@@ -5,7 +5,8 @@
 // Global row ids are stable: row_id = page_index * kPageRowCapacity + slot,
 // so tombstone bitmaps, indexes, and scan cursors are untouched by paging.
 // A page is either *resident* (rows materialized in `rows`) or *spilled*
-// (rows serialized into the table's spill file; `rows` empty). The buffer
+// (rows serialized into the table's spill file; `rows` empty), and either
+// one may be *in I/O* (a fault-in or write-back in flight). The buffer
 // pool owns every state transition; table code touches `rows` only while
 // the page is pinned (or, for unbounded pools that never evict, at will).
 #pragma once
@@ -42,6 +43,9 @@ struct Page {
   bool resident = true;
   bool dirty = true;         // diverges from the spill image (new pages do)
   bool referenced = false;   // clock second-chance bit
+  /// A fault-in or write-back is in flight with the pool mutex released:
+  /// the thread doing the I/O owns `rows`, and Pin waits until it clears.
+  bool io = false;
   uint32_t pins = 0;         // >0 pins the page in memory
 
   /// Estimated payload bytes (sum of RowFootprintBytes over slots in use);
@@ -70,7 +74,7 @@ void SerializePage(const Page& page, std::string* out);
 /// Rebuilds `page->rows` from a serialized image. Throws IntegrityError on
 /// CRC mismatch, truncation, or a row count that disagrees with the page
 /// header — a torn or corrupted spill slot must never become silent wrong
-/// rows. `what` labels the error ("table 't' page 3").
+/// rows. `what` labels the error ("page 3 of table 't'").
 void DeserializePage(const char* data, size_t length, Page* page,
                      const std::string& what);
 

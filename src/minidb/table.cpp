@@ -12,9 +12,9 @@ Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {}
 
 Table::~Table() {
-  // Deregister from the pool first: after ForgetTable returns, the evictor
-  // and writer can never touch this table's pages or spill file again.
-  if (pool_ != nullptr) pool_->ForgetTable(this);
+  // Deregister from the pool first: after ForgetTable returns, no evictor
+  // can touch this table's pages or spill file again.
+  if (spill_enabled_) pool_->ForgetTable(this, pages_);
   // Return the whole reservation: a dropped table's memory leaves the
   // database scope the moment the last reference dies.
   const int64_t held = tracked_bytes_.load(std::memory_order_relaxed);
@@ -47,12 +47,31 @@ Table::PagePin::~PagePin() {
   if (table_->spill_enabled_) table_->pool_->Unpin(page_);
 }
 
+Table::WritePin::WritePin(const Table* table, Page* page) : page_(page) {
+  if (!table->spill_enabled_) return;
+  PinScope* scope = PinScope::Current();
+  if (scope != nullptr) {
+    table->PinInScope(scope, page);
+    return;
+  }
+  pool_ = table->pool_.get();
+  pool_->Pin(page);
+}
+
+Table::WritePin::~WritePin() {
+  if (pool_ != nullptr) pool_->Unpin(page_);
+}
+
+void Table::PinInScope(PinScope* scope, Page* page) const {
+  if (scope->Holds(page)) return;
+  pool_->Pin(page);
+  scope->Add(pool_.get(), page);
+}
+
 void Table::PinForRead(Page* page) const {
   PinScope* scope = PinScope::Current();
   if (scope != nullptr) {
-    if (scope->Holds(page)) return;
-    pool_->Pin(page);
-    scope->Add(pool_.get(), page);
+    PinInScope(scope, page);
     return;
   }
   // No scope installed (out-of-engine caller, single-threaded by
@@ -93,16 +112,13 @@ size_t Table::Insert(Row row) {
   }
   const size_t row_id = live_.size();
   Page* page = TailPageForInsert();
-  const PagePin pin(this, page);
+  const WritePin pin(this, page);
   page->rows.push_back(std::move(row));
   ++page->row_count;
   const Row& stored = page->rows.back();
   const int64_t row_bytes = RowFootprintBytes(stored);
   page->bytes += row_bytes;
-  if (spill_enabled_) {
-    pool_->PageGrew(page, row_bytes);
-    pool_->MarkDirty(page);
-  }
+  if (spill_enabled_) pool_->PageWritten(page, row_bytes);
   if (integrity_enabled_) {
     const uint64_t hash = RowHash(stored);
     content_hash_ += hash;
@@ -127,7 +143,7 @@ const Row& Table::At(size_t row_id) const {
 void Table::Update(size_t row_id, Row row) {
   schema_.CoerceRow(row);
   Page* page = PageFor(row_id);
-  const PagePin pin(this, page);
+  const WritePin pin(this, page);
   Row& stored = page->rows[row_id & kPageRowMask];
   const int pk = schema_.primary_key_index();
   if (pk >= 0) {
@@ -156,10 +172,7 @@ void Table::Update(size_t row_id, Row row) {
     page->hash_sum += new_hash - old_hash;
   }
   page->bytes += new_bytes - old_bytes;
-  if (spill_enabled_) {
-    pool_->PageGrew(page, new_bytes - old_bytes);
-    pool_->MarkDirty(page);
-  }
+  if (spill_enabled_) pool_->PageWritten(page, new_bytes - old_bytes);
   Account(new_bytes - old_bytes);
   IndexInsert(row_id, stored);
 }
@@ -167,7 +180,7 @@ void Table::Update(size_t row_id, Row row) {
 void Table::Delete(size_t row_id) {
   if (!live_[row_id]) return;
   Page* page = PageFor(row_id);
-  const PagePin pin(this, page);
+  const WritePin pin(this, page);
   Row& stored = page->rows[row_id & kPageRowMask];
   const int pk = schema_.primary_key_index();
   if (pk >= 0) pk_index_.erase(stored[pk]);
@@ -185,17 +198,14 @@ void Table::Delete(size_t row_id) {
   const int64_t freed = RowFootprintBytes(stored) - RowFootprintBytes(Row{});
   Row().swap(stored);
   page->bytes -= freed;
-  if (spill_enabled_) {
-    pool_->PageGrew(page, -freed);
-    pool_->MarkDirty(page);
-  }
+  if (spill_enabled_) pool_->PageWritten(page, -freed);
   Account(-freed -
           kIndexEntryBytes * static_cast<int64_t>((pk >= 0 ? 1 : 0) +
                                                   secondary_indexes_.size()));
 }
 
 void Table::Clear() {
-  if (pool_ != nullptr) pool_->ForgetTable(this);
+  if (spill_enabled_) pool_->ForgetPages(this, pages_);
   pages_.clear();
   live_.clear();
   live_rows_ = 0;
@@ -346,7 +356,12 @@ std::vector<Row> Table::SnapshotRows() const {
 
 void Table::RestoreRows(const std::vector<Row>& rows) {
   Clear();
-  for (const Row& row : rows) Insert(row);
+  // Each filled tail page's pin is released as the inserts move on, so a
+  // restore under a PinScope stays inside the pool budget.
+  PinScope::Window window;
+  for (const Row& row : rows) {
+    if ((Insert(row) & kPageRowMask) == kPageRowMask) window.Reset();
+  }
 }
 
 uint64_t Table::RowHash(const Row& row) noexcept {

@@ -66,8 +66,8 @@ class Table {
     return tracked_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Buffer-pool callback (under the pool mutex): `delta` bytes of this
-  /// table's pages entered (+) or left (-) residency.
+  /// Buffer-pool callback: `delta` bytes of this table's pages entered (+)
+  /// or left (-) residency.
   void OnPageResidencyDelta(int64_t delta) noexcept;
 
   /// The lock the executor takes (shared for reads, exclusive for writes).
@@ -77,6 +77,11 @@ class Table {
 
   /// Appends a row (coerced to the schema). Enforces primary-key
   /// uniqueness when the schema declares one. Returns the row id.
+  /// Insert, Update and Delete pin a spill-enabled table's page into the
+  /// current PinScope, so a run of mutations on one page costs one pool
+  /// call per row (PageWritten); a DML loop releases each page it is done
+  /// with through a PinScope::Window. Without a scope the page is pinned
+  /// for the one mutation only.
   size_t Insert(Row row);
 
   size_t live_row_count() const noexcept { return live_rows_; }
@@ -202,9 +207,9 @@ class Table {
     std::unordered_multimap<Value, size_t, ValueKeyHash, ValueKeyEq> map;
   };
 
-  /// RAII pin held across a mutation (or an internal whole-table sweep)
-  /// so the pool's evictor never serializes a half-mutated page. No-op
-  /// unless the table is spill-enabled.
+  /// RAII pin held across an internal whole-table sweep, page by page, so
+  /// the pool's evictor never serializes a page being read or mutated.
+  /// No-op unless the table is spill-enabled.
   class PagePin {
    public:
     PagePin(const Table* table, Page* page);
@@ -217,11 +222,28 @@ class Table {
     Page* page_;
   };
 
+  /// Pin held across a row mutation (see Insert): taken into the current
+  /// PinScope when one is installed, else owned by the guard. No-op unless
+  /// the table is spill-enabled.
+  class WritePin {
+   public:
+    WritePin(const Table* table, Page* page);
+    ~WritePin();
+    WritePin(const WritePin&) = delete;
+    WritePin& operator=(const WritePin&) = delete;
+
+   private:
+    BufferPool* pool_ = nullptr;  // set when the guard owns the pin
+    Page* page_;
+  };
+
   Page* PageFor(size_t row_id) const noexcept {
     return pages_[row_id >> kPageRowShift].get();
   }
   /// Scope-aware read pin (see At()).
   void PinForRead(Page* page) const;
+  /// Pins `page` into `scope` unless the scope already holds it.
+  void PinInScope(PinScope* scope, Page* page) const;
   /// The tail page with room for one more row (creates and registers a
   /// fresh one when needed).
   Page* TailPageForInsert();

@@ -1,8 +1,10 @@
 // Paged storage & buffer pool acceptance suite (`ctest -L storage`):
 // pin/unpin balance, clock eviction order, pinned-page eviction refusal,
 // spill/reload round trips, quota-pressure reclaim, the CHECKSUM TABLE
-// statement, checkpoint dump reuse, a bounded-vs-unbounded differential, and
-// a reader/writer/evictor race for the tsan preset.
+// statement, checkpoint dump reuse, a bounded-vs-unbounded differential,
+// the page I/O state (concurrent fault-ins of one page, a failed fault-in,
+// tail pins of a large INSERT ... SELECT), per-connection pool counters,
+// and a reader/writer/evictor race for the tsan preset.
 #include "minidb/buffer_pool.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <latch>
 #include <memory>
 #include <string>
 #include <mutex>
@@ -27,6 +31,7 @@
 #include "minidb/table.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "telemetry/recorder.h"
 
 namespace sqloop::minidb {
 namespace {
@@ -70,7 +75,8 @@ std::string UniqueSpillDir(const char* tag) {
 /// BEFORE the table is configured, so spill participation latches on.
 struct PagedFixture {
   explicit PagedFixture(int64_t budget_bytes, const char* tag = "fx")
-      : pool(std::make_shared<BufferPool>(UniqueSpillDir(tag))),
+      : spill_dir(UniqueSpillDir(tag)),
+        pool(std::make_shared<BufferPool>(spill_dir)),
         table(std::make_unique<Table>("t", MakeSchema())) {
     pool->set_budget_bytes(budget_bytes);
     table->set_integrity_enabled(true);
@@ -81,9 +87,17 @@ struct PagedFixture {
     for (int64_t i = 0; i < count; ++i) table->Insert(MakeRow(i));
   }
 
+  std::string spill_dir;
   std::shared_ptr<BufferPool> pool;
   std::unique_ptr<Table> table;
 };
+
+/// Resident bytes of one full page of MakeRow rows.
+int64_t MakeRowPageBytes() {
+  PagedFixture probe(int64_t{64} << 20, "probe");
+  probe.InsertRows(static_cast<int64_t>(kPageRowCapacity));
+  return probe.pool->stats().resident_bytes;
+}
 
 constexpr int64_t kRowsPerPage = static_cast<int64_t>(kPageRowCapacity);
 // Roomy enough that inserting a few pages never evicts on its own.
@@ -258,10 +272,7 @@ TEST(BufferPool, SpillReloadRoundTrip) {
 TEST(BufferPool, BudgetEvictsDuringInsert) {
   // A budget of ~2 pages of rows: loading 8 pages must keep residency
   // bounded the whole way instead of spiking to the dataset size.
-  PagedFixture probe(kLooseBudget, "probe");
-  probe.InsertRows(kRowsPerPage);
-  const int64_t page_bytes = probe.pool->stats().resident_bytes;
-
+  const int64_t page_bytes = MakeRowPageBytes();
   PagedFixture fx(2 * page_bytes + page_bytes / 2, "budget");
   fx.InsertRows(8 * kRowsPerPage);
   const BufferPool::Stats stats = fx.pool->stats();
@@ -275,10 +286,7 @@ TEST(BufferPool, FaultInMakesRoomBeforeLoading) {
   // A budget of 1.5 pages holds one page, not two: faulting page 1 in
   // while page 0 is resident must evict page 0 before the load, so the
   // peak never counts both pages at once.
-  PagedFixture probe(kLooseBudget, "probe");
-  probe.InsertRows(kRowsPerPage);
-  const int64_t page_bytes = probe.pool->stats().resident_bytes;
-
+  const int64_t page_bytes = MakeRowPageBytes();
   PagedFixture fx(page_bytes + page_bytes / 2, "room");
   fx.InsertRows(2 * kRowsPerPage);
   fx.pool->Shrink();
@@ -535,6 +543,183 @@ TEST(PagedDifferential, BitIdenticalToUnboundedPoolUnderTinyBudget) {
   // The maintained checksums agree across pool budgets.
   run_both("CHECKSUM TABLE s");
   run_both("CHECKSUM TABLE e");
+}
+
+TEST(BufferPool, ConcurrentPinsOfOneSpilledPageReadItOnce) {
+  // Four threads fault the same spilled pages in at once: the first pin of
+  // a page loads it while the others wait on its I/O state, so each page
+  // is read once, and every thread sees the rows an unbounded table holds.
+  constexpr int kPages = 32;
+  constexpr int kThreads = 4;
+  PagedFixture fx(kLooseBudget, "shared");
+  fx.InsertRows(kPages * kRowsPerPage);
+  Table oracle("oracle", MakeSchema());
+  for (int64_t i = 0; i < kPages * kRowsPerPage; ++i) {
+    oracle.Insert(MakeRow(i));
+  }
+  fx.pool->Shrink();
+  ASSERT_EQ(fx.table->resident_page_count(), 0u);
+  const uint64_t misses_before = fx.pool->stats().misses;
+
+  std::latch start(kThreads);
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const std::shared_lock lock(fx.table->lock());
+      PinScope scope;
+      start.arrive_and_wait();
+      for (size_t id = 0; id < fx.table->slot_count(); ++id) {
+        const Row& row = fx.table->At(id);
+        const Row& expected = oracle.At(id);
+        for (size_t c = 0; c < expected.size(); ++c) {
+          if (row[c].ToString() != expected[c].ToString()) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(fx.pool->stats().misses, misses_before + kPages)
+      << "each spilled page must be read once, whoever pins it first";
+  EXPECT_TRUE(fx.table->VerifyContent());
+}
+
+TEST(BufferPool, FailedFaultInClearsTheIoState) {
+  // A spill image that fails its CRC throws IntegrityError on every pin:
+  // the failed fault-in drops its pin, its byte reservation and the I/O
+  // state, so a second pin retries (and fails again) instead of waiting
+  // forever on a load nobody is doing.
+  PagedFixture fx(kLooseBudget, "crc");
+  fx.InsertRows(kRowsPerPage);
+  fx.pool->Shrink();
+  ASSERT_EQ(fx.table->resident_page_count(), 0u);
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(fx.spill_dir)) {
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  {
+    std::fstream file(files[0], std::ios::in | std::ios::out |
+                                    std::ios::binary);
+    file.seekg(16);
+    char byte = 0;
+    file.get(byte);
+    file.seekp(16);
+    file.put(static_cast<char>(byte ^ 0x01));
+  }
+  EXPECT_THROW((void)fx.table->At(0), IntegrityError);
+  EXPECT_THROW((void)fx.table->At(1), IntegrityError);
+  {
+    PinScope scope;
+    EXPECT_THROW((void)fx.table->At(2), IntegrityError);
+  }
+  EXPECT_EQ(fx.pool->stats().resident_bytes, 0);
+  EXPECT_EQ(fx.table->resident_page_count(), 0u);
+}
+
+TEST(BufferPool, InsertSelectReleasesFilledTailPages) {
+  // INSERT ... SELECT of 8+ pages into a spill-enabled table under a
+  // 2-page budget: the statement pins each tail page while it fills and
+  // lets it go when the tail moves on, so residency stays near the budget
+  // instead of holding every page the statement wrote.
+  const auto page_bytes_of = [](Database& db) {
+    Executor exec(db);
+    exec.ExecuteSql("CREATE TABLE probe (id BIGINT, v DOUBLE PRECISION)");
+    std::string values;
+    for (size_t i = 0; i < kPageRowCapacity; ++i) {
+      values += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+                std::to_string(i) + ".5)";
+    }
+    exec.ExecuteSql("INSERT INTO probe VALUES " + values);
+    return db.buffer_pool().stats().resident_bytes;
+  };
+  Database probe("probe", EngineProfile::Canonical());
+  probe.set_buffer_pool_bytes(kLooseBudget);
+  const int64_t page_bytes = page_bytes_of(probe);
+  ASSERT_GT(page_bytes, 0);
+
+  Database db("tails", EngineProfile::Canonical());
+  db.set_buffer_pool_bytes(2 * page_bytes);
+  Executor exec(db);
+  exec.ExecuteSql("CREATE TABLE src (id BIGINT, v DOUBLE PRECISION)");
+  exec.ExecuteSql("CREATE TABLE dst (id BIGINT, v DOUBLE PRECISION)");
+  constexpr int64_t kRows = 9 * kRowsPerPage;
+  for (int64_t first = 0; first < kRows; first += kRowsPerPage) {
+    std::string values;
+    for (int64_t i = first; i < first + kRowsPerPage; ++i) {
+      values += (i == first ? "(" : ", (") + std::to_string(i) + ", " +
+                std::to_string(i) + ".5)";
+    }
+    exec.ExecuteSql("INSERT INTO src VALUES " + values);
+  }
+  const ResultSet inserted = exec.ExecuteSql("INSERT INTO dst SELECT * FROM src");
+  EXPECT_EQ(inserted.affected_rows, static_cast<size_t>(kRows));
+  const BufferPool::Stats stats = db.buffer_pool().stats();
+  EXPECT_GT(stats.pages_evicted, 8u);
+  EXPECT_LE(stats.resident_peak, 2 * stats.budget_bytes)
+      << "a filled tail page must not stay pinned for the statement";
+  const ResultSet sums =
+      exec.ExecuteSql("SELECT COUNT(*), SUM(id), SUM(v) FROM dst");
+  EXPECT_EQ(sums.rows[0][0].as_int(), kRows);
+  EXPECT_EQ(sums.rows[0][1].as_int(), kRows * (kRows - 1) / 2);
+  EXPECT_DOUBLE_EQ(sums.rows[0][2].as_double(),
+                   static_cast<double>(kRows * (kRows - 1) / 2) + kRows * 0.5);
+}
+
+TEST(BufferPool, ConnectionCountersSumToThePoolTotals) {
+  // Two connections run statements on one bounded database at once. Each
+  // reports the pool activity its own thread caused, so the minidb.*
+  // counters summed over both recorders equal what the pool moved — no
+  // connection reports the pool's history or the other's evictions.
+  Database db("counters", EngineProfile::Canonical());
+  db.set_buffer_pool_bytes(96 << 10);
+  Executor setup(db);
+  for (const char* table : {"a", "b"}) {
+    setup.ExecuteSql(std::string("CREATE TABLE ") + table +
+                     " (id BIGINT PRIMARY KEY, v DOUBLE PRECISION)");
+    for (int first = 0; first < 4000; first += 500) {
+      std::string values;
+      for (int i = first; i < first + 500; ++i) {
+        values += (i == first ? "(" : ", (") + std::to_string(i) + ", " +
+                  std::to_string(i) + ".25)";
+      }
+      setup.ExecuteSql(std::string("INSERT INTO ") + table + " VALUES " +
+                       values);
+    }
+  }
+  const BufferPool::Stats before = db.buffer_pool().stats();
+
+  telemetry::Recorder recorders[2];
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&db, &recorders, c] {
+      Executor exec(db);
+      exec.set_recorder(&recorders[c]);
+      const std::string mine = c == 0 ? "a" : "b";
+      for (int round = 0; round < 6; ++round) {
+        exec.ExecuteSql("UPDATE " + mine + " SET v = v + 1.0 WHERE id % 3 = " +
+                        std::to_string(round % 3));
+        exec.ExecuteSql("SELECT COUNT(*), SUM(v) FROM a");
+        exec.ExecuteSql("SELECT COUNT(*), SUM(v) FROM b");
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const BufferPool::Stats after = db.buffer_pool().stats();
+
+  const auto summed = [&recorders](const char* name) {
+    return recorders[0].counter(name) + recorders[1].counter(name);
+  };
+  EXPECT_GT(after.pages_evicted, before.pages_evicted);
+  EXPECT_EQ(summed("minidb.pool_hits"), after.hits - before.hits);
+  EXPECT_EQ(summed("minidb.pool_misses"), after.misses - before.misses);
+  EXPECT_EQ(summed("minidb.pages_evicted"),
+            after.pages_evicted - before.pages_evicted);
+  EXPECT_EQ(summed("minidb.bytes_spilled"),
+            after.bytes_spilled - before.bytes_spilled);
 }
 
 TEST(BufferPool, ReaderWriterEvictorRace) {

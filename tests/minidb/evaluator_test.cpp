@@ -37,6 +37,26 @@ TEST(Evaluator, ArithmeticTypePromotion) {
   EXPECT_EQ(Eval("-(4 - 9)").as_int(), 5);
 }
 
+TEST(Evaluator, BigintArithmeticWrapsInTwosComplement) {
+  EXPECT_EQ(Eval("9223372036854775807 + 1").as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Eval("(0 - 9223372036854775807) - 2").as_int(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Eval("4611686018427387904 * 2").as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Eval("9223372036854775807 * 3").as_int(),
+            std::numeric_limits<int64_t>::max() - 2);
+  EXPECT_EQ(Eval("(0 - 9223372036854775807 - 1) / -1").as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Eval("(0 - 9223372036854775807 - 1) % -1").as_int(), 0);
+  EXPECT_EQ(Eval("7 / -1").as_int(), -7);
+  EXPECT_EQ(Eval("7 % -1").as_int(), 0);
+  EXPECT_EQ(Eval("-(0 - 9223372036854775807 - 1)").as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Eval("ABS(0 - 9223372036854775807 - 1)").as_int(),
+            std::numeric_limits<int64_t>::min());
+}
+
 TEST(Evaluator, NullPropagation) {
   EXPECT_TRUE(Eval("1 + NULL").is_null());
   EXPECT_TRUE(Eval("NULL * 2.0").is_null());
@@ -120,6 +140,18 @@ TEST(Accumulator, SumStaysIntegerUntilDoubleArrives) {
   acc.Add(Value(0.5));
   EXPECT_TRUE(acc.Result().is_double());
   EXPECT_DOUBLE_EQ(acc.Result().as_double(), 5.5);
+}
+
+TEST(Accumulator, IntegerSumWrapsInTwosComplement) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Accumulator acc(sql::AggFunc::kSum, false);
+  acc.Add(Value(kMax));
+  acc.Add(Value(int64_t{1}));
+  EXPECT_EQ(acc.Result().as_int(), std::numeric_limits<int64_t>::min());
+  const int64_t span[] = {kMax, 1, kMax};
+  Accumulator batched(sql::AggFunc::kSum, false);
+  batched.AddInt64Span(span, 3);
+  EXPECT_EQ(batched.Result().as_int(), -1);
 }
 
 TEST(Accumulator, SumOfNothingIsNull) {
